@@ -4,9 +4,9 @@
 //! GFLOP/s next to its timing, and so the binary itself can enforce the
 //! regression gate: measures the four GEMM variants, the int8 inference
 //! kernels (`gemm_i8`, `quantize_i8`, `dequantize_i8`), `im2col`,
-//! the convolution forward of every personality conv layer, and the
-//! text-workload layers (embedding lookup, 3/4/5-width conv1d banks),
-//! writes
+//! the convolution forward of every personality conv layer in fp32 and
+//! int8, and the text-workload layers (embedding lookup, 3/4/5-width
+//! conv1d banks in fp32 and int8), writes
 //! `target/dlbench-reports/BENCH_kernels.json`, and — when
 //! `DLBENCH_PERF_BASELINE` points at a committed baseline JSON — exits
 //! non-zero if any kernel runs >15% slower than the baseline
@@ -20,9 +20,10 @@
 
 use std::time::Instant;
 
-use dlbench_bench::BENCH_SEED;
+use dlbench_bench::{reports_dir, BENCH_SEED};
 use dlbench_frameworks::{arch_defaults, FrameworkKind};
 use dlbench_nn::{Conv1dBank, Conv2d, Embedding, Initializer, Layer};
+use dlbench_quant::{QConv1dBank, QConv2d};
 use dlbench_tensor::{
     dequantize_i8, gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, im2col, quantize_i8,
     Conv2dGeometry, SeededRng, Tensor,
@@ -175,6 +176,19 @@ fn bench_quant_kernels(h: &mut Harness, rng: &mut SeededRng) {
         gemm_i8(m, k, nn, &a, &b, &mut c);
     });
 
+    // Classifier shapes on both sides of `gemm_i8`'s path choice, over
+    // leading slices of the operands above: Caffe-MNIST fc1 at batch 1
+    // (the serving shape; one row runs the i32 loop nest) and
+    // TF-CIFAR-10 fc3 at batch 4 (four rows pack, though the product is
+    // tiny).
+    for (m, k, nn) in [(1, 800, 500), (4, 192, 10)] {
+        let (a, b, c) = (&a[..m * k], &b[..k * nn], &mut c[..m * nn]);
+        h.bench(format!("gemm_i8/{m}x{k}x{nn}"), gemm_flops(m, k, nn), || {
+            c.fill(0);
+            gemm_i8(m, k, nn, a, b, c);
+        });
+    }
+
     // Activation-plane-sized conversions (batch 50 of a 3136-feature
     // activation — the tensor each quantized layer boundary converts).
     let plane = 50 * 3136;
@@ -206,9 +220,13 @@ fn bench_im2col(h: &mut Harness, rng: &mut SeededRng) {
     h.bench("im2col/lenet_conv1", 0, || im2col(&geo, input.data(), &mut cols));
 }
 
+/// Input quantizer for the int8 layer benches: N(0, 1) activations
+/// spread over about ±4 across the i8 range.
+const ACT_SCALE: f32 = 8.0 / 255.0;
+
 /// Forward of every personality conv layer at paper scale (batch 2),
-/// through the real `Conv2d` layer so the fused path, its packing and
-/// the arena are all on the measured path.
+/// through the real `Conv2d` and `QConv2d` layers so the fused paths,
+/// their packing and the arena are all on the measured path.
 fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
     use dlbench_data::DatasetKind;
     const BATCH: usize = 2;
@@ -234,6 +252,10 @@ fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
                     * (geo.out_plane() as u64);
                 h.bench(format!("conv_fwd/{}/conv{}", spec.name, i + 1), flops, || {
                     std::hint::black_box(conv.forward(&x, false));
+                });
+                let q = QConv2d::from_fp32(&conv, ACT_SCALE, 0);
+                h.bench(format!("qconv_fwd/{}/conv{}", spec.name, i + 1), flops, || {
+                    std::hint::black_box(q.forward(&x));
                 });
             }
         }
@@ -271,20 +293,11 @@ fn bench_text_layers(h: &mut Harness, rng: &mut SeededRng) {
         h.bench(format!("conv1d_fwd/{name}"), flops, || {
             std::hint::black_box(bank.forward(&embedded, false));
         });
+        let q = QConv1dBank::from_fp32(&bank, ACT_SCALE, 0);
+        h.bench(format!("qconv1d_fwd/{name}"), flops, || {
+            std::hint::black_box(q.forward(&embedded));
+        });
     }
-}
-
-/// `target/dlbench-reports`, recovered from the bench executable's own
-/// path (cargo runs bench binaries with the package root as cwd).
-fn reports_dir() -> std::path::PathBuf {
-    let from_exe = std::env::current_exe().ok().and_then(|exe| {
-        let deps = exe.parent()?;
-        if deps.file_name()? != "deps" {
-            return None;
-        }
-        Some(deps.parent()?.parent()?.join("dlbench-reports"))
-    });
-    from_exe.unwrap_or_else(|| std::path::Path::new("target").join("dlbench-reports"))
 }
 
 fn export_json(records: &[Record]) -> std::path::PathBuf {

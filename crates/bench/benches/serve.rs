@@ -13,25 +13,10 @@
 //! batches (higher throughput per forward) at the price of queueing
 //! latency — the classic serving trade-off this file makes measurable.
 
-use dlbench_bench::BENCH_SEED;
+use dlbench_bench::{reports_dir, BENCH_SEED};
 use dlbench_frameworks::Scale;
 use dlbench_serve::loadgen;
 use dlbench_trace::Stopwatch;
-
-/// The shared `target/dlbench-reports` directory, recovered from the
-/// executable path exactly like the criterion facade does — cargo runs
-/// bench binaries with the *package* root as cwd, so a relative
-/// `target/` would land inside `crates/bench/`.
-fn reports_dir() -> std::path::PathBuf {
-    let from_exe = std::env::current_exe().ok().and_then(|exe| {
-        let deps = exe.parent()?;
-        if deps.file_name()? != "deps" {
-            return None;
-        }
-        Some(deps.parent()?.parent()?.join("dlbench-reports"))
-    });
-    from_exe.unwrap_or_else(|| std::path::Path::new("target").join("dlbench-reports"))
-}
 
 fn main() {
     if std::env::args().any(|a| a == "--list") {

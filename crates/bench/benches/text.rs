@@ -23,7 +23,7 @@
 //! runs — check.sh runs it twice and `cmp`s the output.
 
 use dlbench_adversarial::{fgsm_embedding, pgd_embedding, EmbedAttackConfig, PgdConfig};
-use dlbench_bench::BENCH_SEED;
+use dlbench_bench::{reports_dir, BENCH_SEED};
 use dlbench_data::{Dataset, DatasetKind};
 use dlbench_frameworks::{trainer, training_defaults, DefaultSetting, FrameworkKind, Scale};
 use dlbench_json::JsonValue;
@@ -35,21 +35,6 @@ use dlbench_trace::Stopwatch;
 /// Network split point for embedding-space attacks: every text
 /// personality puts its embedding layer first.
 const EMBED_SPLIT: usize = 1;
-
-/// The shared `target/dlbench-reports` directory, recovered from the
-/// executable path exactly like the criterion facade does — cargo runs
-/// bench binaries with the *package* root as cwd, so a relative
-/// `target/` would land inside `crates/bench/`.
-fn reports_dir() -> std::path::PathBuf {
-    let from_exe = std::env::current_exe().ok().and_then(|exe| {
-        let deps = exe.parent()?;
-        if deps.file_name()? != "deps" {
-            return None;
-        }
-        Some(deps.parent()?.parent()?.join("dlbench-reports"))
-    });
-    from_exe.unwrap_or_else(|| std::path::Path::new("target").join("dlbench-reports"))
-}
 
 /// Batched top-1 accuracy of the quantized network over `test` — the
 /// int8 mirror of `trainer::evaluate`. Text pipelines are

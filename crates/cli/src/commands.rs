@@ -1115,9 +1115,9 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
     }
     // One quantized-inference pass: post-training-quantize the trained
     // TF cell and trace a batched int8 forward, so the profile also
-    // covers the `gemm_i8`/`quantize_i8` kernels with their joined
-    // FLOP/s (inference-only — the train-chain validation above does
-    // not apply here).
+    // covers the `gemm_i8`/`qconv_fused`/`quantize_i8` kernels with
+    // their joined FLOP/s (inference-only — the train-chain validation
+    // above does not apply here).
     {
         let host = FrameworkKind::TensorFlow;
         let setting = DefaultSetting::new(host, dataset);
@@ -1147,14 +1147,31 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
         let _ = qnet.forward(&x, false);
         let events = dlbench_trace::take_events();
         dlbench_trace::configure(TraceConfig::Off);
-        let gemm_spans =
-            events.iter().filter(|e| e.is_span() && e.name.as_ref() == "gemm_i8").count();
-        if gemm_spans == 0 {
-            return Err(format!("{label}: quantized forward produced no gemm_i8 spans"));
+        // The two int8 kernels: `gemm_i8` behind QLinear and the fused
+        // int8 conv behind QConv2d. Each must show up, and every span
+        // must carry its FLOPs or the profile's GFLOP/s join is empty.
+        let mut counts = Vec::new();
+        for kernel in ["gemm_i8", "qconv_fused"] {
+            let flops: Vec<u64> = events
+                .iter()
+                .filter(|e| e.name.as_ref() == kernel)
+                .filter_map(|e| match e.kind {
+                    dlbench_trace::EventKind::Span { flops, .. } => Some(flops),
+                    _ => None,
+                })
+                .collect();
+            if flops.is_empty() {
+                return Err(format!("{label}: quantized forward produced no {kernel} spans"));
+            }
+            if flops.contains(&0) {
+                return Err(format!("{label}: a {kernel} span carries zero FLOPs"));
+            }
+            counts.push(format!("{} {kernel}", flops.len()));
         }
         println!("== {label} ==");
         println!(
-            "{gemm_spans} gemm_i8 spans over a {}-sample int8 forward ({} of {} layers quantized)",
+            "{} spans over a {}-sample int8 forward ({} of {} layers quantized)",
+            counts.join(" + "),
             idx.len(),
             qnet.num_quantized(),
             qnet.len()

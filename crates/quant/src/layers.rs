@@ -2,8 +2,10 @@
 
 use crate::qtensor::QTensor;
 use dlbench_nn::{token_row, Conv1dBank, Conv2d, Embedding, Layer, Linear};
-use dlbench_tensor::{gemm_i8, quantize_i8, Conv2dGeometry, Tensor};
-use dlbench_trace::{span, Category};
+use dlbench_tensor::{
+    conv_forward_fused_i8, gemm_i8, par, quantize_i8, Conv2dGeometry, PackedConvWeight, Tensor,
+};
+use dlbench_trace::{span, span_flops, Category};
 
 /// Per-output-channel sums of the quantized weights — the constant in
 /// the affine zero-point correction
@@ -154,6 +156,10 @@ fn requantize_rows(acc: &[i32], wsum: &[i32], bias: &[f32], s: f32, zx: i32, out
 /// filling padded taps with the activation `zero_point` — which is
 /// exactly what fp32 zero padding quantizes to, so the lowering
 /// commutes with quantization.
+///
+/// The quantized layers never materialize this matrix (they run
+/// [`conv_forward_fused_i8`]); it is kept as the reference lowering the
+/// fused forward is tested against.
 pub fn im2col_i8(geo: &Conv2dGeometry, zero_point: i8, input: &[i8], cols: &mut [i8]) {
     let (oh, ow) = (geo.out_h(), geo.out_w());
     debug_assert_eq!(input.len(), geo.in_channels * geo.in_h * geo.in_w);
@@ -193,7 +199,7 @@ pub fn im2col_i8(geo: &Conv2dGeometry, zero_point: i8, input: &[i8], cols: &mut 
 
 /// A quantized 2-D convolution: symmetric int8 weights flattened to
 /// the `[out_channels, patch_len]` GEMM layout, affine int8 input
-/// quantization, per-sample `im2col_i8` lowering with zero-point
+/// quantization, the fused int8 im2col+GEMM forward with zero-point
 /// padding, i32 accumulation and fp32 requantized output.
 #[derive(Debug, Clone)]
 pub struct QConv2d {
@@ -321,7 +327,8 @@ impl QConv2d {
         let plane = oh * ow;
         let patch = geo.patch_len();
         let sample_in = c * h * w;
-        let sample_out = self.out_channels * plane;
+        let out_channels = self.out_channels;
+        let sample_out = out_channels * plane;
         let _s = span(Category::Kernel, "qconv2d");
 
         // Per-tensor activation quantization: one parameter set for the
@@ -329,29 +336,36 @@ impl QConv2d {
         let mut xq = vec![0i8; input.len()];
         quantize_i8(input.data(), self.act_scale, self.act_zero_point, &mut xq);
 
+        let work = n * out_channels * patch * plane;
+        let _k = span_flops(Category::Kernel, "qconv_fused", 2 * work as u64);
+        // Weights pack once per call and are shared read-only across
+        // samples and workers; samples are independent, so the batch
+        // parallelizes over disjoint per-sample output rows.
+        let packed = PackedConvWeight::pack(out_channels, patch, self.weight.data());
         let s = self.act_scale * self.weight.scale;
         let zx = self.act_zero_point as i32;
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let mut cols = vec![0i8; patch * plane];
-        let mut acc = vec![0i32; sample_out];
-        for (si, out_s) in out.data_mut().chunks_mut(sample_out).enumerate() {
-            im2col_i8(
-                &geo,
-                self.act_zero_point,
-                &xq[si * sample_in..(si + 1) * sample_in],
-                &mut cols,
-            );
-            acc.fill(0);
-            gemm_i8(self.out_channels, patch, plane, self.weight.data(), &cols, &mut acc);
-            for oc in 0..self.out_channels {
-                let corr = zx * self.wsum[oc];
-                let b = self.bias[oc];
-                let acc_plane = &acc[oc * plane..(oc + 1) * plane];
-                let out_plane = &mut out_s[oc * plane..(oc + 1) * plane];
-                for (o, &a) in out_plane.iter_mut().zip(acc_plane) {
-                    *o = s * (a - corr) as f32 + b;
+        let per_sample = |first: usize, out_chunk: &mut [f32]| {
+            let mut acc = vec![0i32; sample_out];
+            for (si, out_s) in out_chunk.chunks_mut(sample_out).enumerate() {
+                let x = &xq[(first + si) * sample_in..(first + si + 1) * sample_in];
+                acc.fill(0);
+                conv_forward_fused_i8(&geo, &packed, x, self.act_zero_point, &mut acc);
+                for oc in 0..out_channels {
+                    let corr = zx * self.wsum[oc];
+                    let b = self.bias[oc];
+                    let acc_plane = &acc[oc * plane..(oc + 1) * plane];
+                    let out_plane = &mut out_s[oc * plane..(oc + 1) * plane];
+                    for (o, &a) in out_plane.iter_mut().zip(acc_plane) {
+                        *o = s * (a - corr) as f32 + b;
+                    }
                 }
             }
+        };
+        let mut out = Tensor::zeros(&[n, out_channels, oh, ow]);
+        if work < par::PAR_MIN_WORK {
+            per_sample(0, out.data_mut());
+        } else {
+            par::par_row_chunks_mut(out.data_mut(), sample_out, per_sample);
         }
         out
     }
@@ -445,7 +459,7 @@ struct QConv1dBranch {
 }
 
 /// A quantized sentence-CNN feature bank: per-branch symmetric int8
-/// conv weights lowered through [`im2col_i8`] + [`gemm_i8`] exactly like
+/// conv weights run through the fused int8 forward exactly like
 /// [`QConv2d`], one shared affine input quantizer (all branches read the
 /// same embedded sequence), fp32 requantization, then fp32
 /// max-over-time pooling and branch-order concatenation to
@@ -565,51 +579,62 @@ impl QConv1dBank {
         let total = self.out_features();
         let sample_in = l * e;
         let zx = self.act_zero_point as i32;
-        let mut out = Tensor::zeros(&[n, total]);
-        for (b, branch) in self.branches.iter().enumerate() {
-            assert!(l >= branch.width, "sequence shorter than kernel window");
-            let geo = Conv2dGeometry {
-                in_channels: 1,
-                in_h: l,
-                in_w: e,
-                kernel_h: branch.width,
-                kernel_w: e,
-                stride: 1,
-                pad: 0,
-            };
-            let plane = geo.out_plane();
-            let patch = geo.patch_len();
-            let s = self.act_scale * branch.weight.scale;
-            let mut cols = vec![0i8; patch * plane];
-            let mut acc = vec![0i32; f * plane];
-            for si in 0..n {
-                im2col_i8(
-                    &geo,
-                    self.act_zero_point,
-                    &xq[si * sample_in..(si + 1) * sample_in],
-                    &mut cols,
-                );
-                acc.fill(0);
-                gemm_i8(f, patch, plane, branch.weight.data(), &cols, &mut acc);
-                let out_row = &mut out.data_mut()[si * total + b * f..si * total + (b + 1) * f];
-                for (oc, o) in out_row.iter_mut().enumerate() {
-                    let corr = zx * branch.wsum[oc];
-                    let bias = branch.bias[oc];
-                    let acc_plane = &acc[oc * plane..(oc + 1) * plane];
-                    // Requantize then max-over-time with the fp32 tie
-                    // rule (strict >, earliest wins). Requantization is
-                    // monotone in the i32 accumulator, but ties must be
-                    // broken on the fp32 values to match the fallback.
-                    let mut best = s * (acc_plane[0] - corr) as f32 + bias;
-                    for &a in &acc_plane[1..] {
-                        let v = s * (a - corr) as f32 + bias;
-                        if v > best {
-                            best = v;
+        // Per branch: its geometry and its weights, packed once per call
+        // and shared read-only across samples and workers.
+        let plans: Vec<(&QConv1dBranch, Conv2dGeometry, PackedConvWeight<i8>)> = self
+            .branches
+            .iter()
+            .map(|branch| {
+                assert!(l >= branch.width, "sequence shorter than kernel window");
+                let geo = Conv2dGeometry {
+                    in_channels: 1,
+                    in_h: l,
+                    in_w: e,
+                    kernel_h: branch.width,
+                    kernel_w: e,
+                    stride: 1,
+                    pad: 0,
+                };
+                (branch, geo, PackedConvWeight::pack(f, geo.patch_len(), branch.weight.data()))
+            })
+            .collect();
+        let work: usize = plans.iter().map(|(_, g, _)| n * f * g.patch_len() * g.out_plane()).sum();
+        let _k = span_flops(Category::Kernel, "qconv_fused", 2 * work as u64);
+        let per_sample = |first: usize, out_chunk: &mut [f32]| {
+            let mut acc = Vec::new();
+            for (si, out_row) in out_chunk.chunks_mut(total).enumerate() {
+                let x = &xq[(first + si) * sample_in..(first + si + 1) * sample_in];
+                for (b, (branch, geo, packed)) in plans.iter().enumerate() {
+                    let plane = geo.out_plane();
+                    acc.clear();
+                    acc.resize(f * plane, 0i32);
+                    conv_forward_fused_i8(geo, packed, x, self.act_zero_point, &mut acc);
+                    let s = self.act_scale * branch.weight.scale;
+                    for (oc, o) in out_row[b * f..(b + 1) * f].iter_mut().enumerate() {
+                        let corr = zx * branch.wsum[oc];
+                        let bias = branch.bias[oc];
+                        let acc_plane = &acc[oc * plane..(oc + 1) * plane];
+                        // Requantize then max-over-time with the fp32 tie
+                        // rule (strict >, earliest wins). Requantization is
+                        // monotone in the i32 accumulator, but ties must be
+                        // broken on the fp32 values to match the fallback.
+                        let mut best = s * (acc_plane[0] - corr) as f32 + bias;
+                        for &a in &acc_plane[1..] {
+                            let v = s * (a - corr) as f32 + bias;
+                            if v > best {
+                                best = v;
+                            }
                         }
+                        *o = best;
                     }
-                    *o = best;
                 }
             }
+        };
+        let mut out = Tensor::zeros(&[n, total]);
+        if work < par::PAR_MIN_WORK {
+            per_sample(0, out.data_mut());
+        } else {
+            par::par_row_chunks_mut(out.data_mut(), total, per_sample);
         }
         out
     }

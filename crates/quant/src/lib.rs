@@ -15,15 +15,17 @@
 //!                              ▼
 //!                     QuantizedNetwork
 //!       Linear/Conv2d → int8 (symmetric weights, affine activations,
-//!                        i32-accumulate gemm_i8, requantize between
-//!                        layers); everything else → fp32 fallback
+//!                        i32-accumulate gemm_i8 / fused int8 conv,
+//!                        requantize between layers); everything
+//!                        else → fp32 fallback
 //! ```
 //!
 //! * Weights are quantized **symmetrically per tensor** (`zero_point =
 //!   0`, scale `max|w| / 127`); activations **affinely** from the
 //!   calibrated range, so the quantized layer computes
 //!   `y = s_x·s_w·(Σ x_q·w_q − z_x·Σ w_q) + bias` with a single
-//!   [`dlbench_tensor::gemm_i8`] in i32.
+//!   [`dlbench_tensor::gemm_i8`] (or, for convolutions,
+//!   [`dlbench_tensor::conv_forward_fused_i8`]) in i32.
 //! * Determinism: i32 accumulation is exact, quantize/dequantize are
 //!   per-element, and the fp32 fallback layers keep the suite's
 //!   fixed-reduction-chain contract — quantized inference is

@@ -17,36 +17,50 @@
 //! *bitwise equal* — a property the transparency tests in
 //! `tests/tests/kernels.rs` pin for every personality conv geometry at
 //! 1 and 4 threads.
+//!
+//! [`conv_forward_fused_i8`] is the int8 counterpart: the same packers
+//! widen int8 weights and image values into the f32 panels, padded taps
+//! take the activation zero point, and the i32 accumulation is exact
+//! (see [`crate::gemm_i8`]), so it equals `im2col_i8` + [`crate::gemm_i8`]
+//! bit for bit.
+
+use std::marker::PhantomData;
 
 use crate::arena::{self, ArenaBuf};
 use crate::im2col::Conv2dGeometry;
-use crate::linalg::{self, KC, MR, NR};
+use crate::linalg::{self, TileDst, KC, MR, NR};
 
 /// Convolution weights pre-packed into the GEMM left-operand panel
 /// layout ([`crate::linalg`]'s `MR`-row panels over the
-/// `[out_channels, patch_len]` weight matrix).
+/// `[out_channels, patch_len]` weight matrix), widened to `f32`.
+///
+/// `T` is the source dtype (`f32` or `i8`): [`conv_forward_fused`]
+/// takes only `f32`-packed weights and [`conv_forward_fused_i8`] only
+/// `i8`-packed ones, so the int8 exactness argument cannot be handed
+/// non-integer panels.
 ///
 /// Packing is independent of the image data, so a layer packs once per
 /// forward call and shares the result across samples and worker
 /// threads.
-pub struct PackedConvWeight {
+pub struct PackedConvWeight<T> {
     out_channels: usize,
     patch_len: usize,
     panels: ArenaBuf,
+    dtype: PhantomData<T>,
 }
 
-impl PackedConvWeight {
+impl<T: Copy + Into<f32>> PackedConvWeight<T> {
     /// Packs a `[out_channels, patch_len]` row-major weight matrix
     /// (the natural flattening of `[out_c, in_c, kh, kw]`).
     ///
     /// # Panics
     ///
     /// Panics (debug assertion) on length mismatch.
-    pub fn pack(out_channels: usize, patch_len: usize, weight: &[f32]) -> Self {
+    pub fn pack(out_channels: usize, patch_len: usize, weight: &[T]) -> Self {
         debug_assert_eq!(weight.len(), out_channels * patch_len);
         let mut panels = arena::take(out_channels.div_ceil(MR) * MR * patch_len);
         linalg::pack_a(out_channels, patch_len, weight, &mut panels);
-        Self { out_channels, patch_len, panels }
+        Self { out_channels, patch_len, panels, dtype: PhantomData }
     }
 
     /// Output channels of the packed weights.
@@ -70,33 +84,73 @@ impl PackedConvWeight {
 /// Panics (debug assertions) on slice lengths inconsistent with `geo`.
 pub fn conv_forward_fused(
     geo: &Conv2dGeometry,
-    weight: &PackedConvWeight,
+    weight: &PackedConvWeight<f32>,
     input: &[f32],
     out: &mut [f32],
+) {
+    fused_tiles(geo, weight, input, 0.0, out);
+}
+
+/// Int8 fused convolution forward for **one** sample: accumulates
+/// `W @ im2col_i8(input)` into the i32 `out`
+/// (`[out_channels, out_h·out_w]` row-major), where `weight` packs the
+/// int8 weights and taps outside the image read `zero_point` — the
+/// quantized value of fp32 zero padding.
+///
+/// `out` is accumulated into (zero it for a plain product); the result
+/// equals the materialized `im2col_i8` + [`crate::gemm_i8`] bit for
+/// bit.
+///
+/// # Panics
+///
+/// Panics (debug assertions) on slice lengths inconsistent with `geo`.
+pub fn conv_forward_fused_i8(
+    geo: &Conv2dGeometry,
+    weight: &PackedConvWeight<i8>,
+    input: &[i8],
+    zero_point: i8,
+    out: &mut [i32],
+) {
+    fused_tiles(geo, weight, input, zero_point, out);
+}
+
+fn fused_tiles<T: Copy + Into<f32>, D: TileDst>(
+    geo: &Conv2dGeometry,
+    weight: &PackedConvWeight<T>,
+    input: &[T],
+    pad: T,
+    out: &mut [D],
 ) {
     debug_assert_eq!(weight.patch_len, geo.patch_len());
     debug_assert_eq!(input.len(), geo.in_channels * geo.in_h * geo.in_w);
     debug_assert_eq!(out.len(), weight.out_channels * geo.out_plane());
-    let plane = geo.out_plane();
     linalg::gemm_tiles(
         weight.out_channels,
         weight.patch_len,
-        plane,
+        geo.out_plane(),
         &weight.panels,
         out,
-        |k0, kc, bp| pack_patch_block(geo, input, k0, kc, bp),
+        |k0, kc, bp| pack_patch_block(geo, input, pad, k0, kc, bp),
     );
 }
 
 /// Packs patch-matrix rows `[k0, k0+kc)` of one image into the GEMM
 /// right-operand panel layout (`NR`-column tiles, `[kk][jj]` inside a
-/// tile), producing exactly the values `im2col` would have written —
-/// including the zero padding outside the image — plus zero-fill for
-/// ragged tail columns.
-fn pack_patch_block(geo: &Conv2dGeometry, input: &[f32], k0: usize, kc: usize, bp: &mut [f32]) {
+/// tile), widened to `f32`, producing exactly the values `im2col` would
+/// have written — `pad` for taps outside the image — plus zero-fill
+/// for ragged tail columns.
+fn pack_patch_block<T: Copy + Into<f32>>(
+    geo: &Conv2dGeometry,
+    input: &[T],
+    pad: T,
+    k0: usize,
+    kc: usize,
+    bp: &mut [f32],
+) {
     let (oh, ow) = (geo.out_h(), geo.out_w());
     let plane = oh * ow;
     let taps = geo.kernel_h * geo.kernel_w;
+    let pad: f32 = pad.into();
     for kk in 0..kc {
         // Patch row index -> (channel, kernel-row, kernel-col) tap.
         let r = k0 + kk;
@@ -111,9 +165,9 @@ fn pack_patch_block(geo: &Conv2dGeometry, input: &[f32], k0: usize, kc: usize, b
             for ox in 0..ow {
                 let ix = (ox * geo.stride + kw) as isize - geo.pad as isize;
                 let v = if row_in_image && ix >= 0 && ix < geo.in_w as isize {
-                    img_plane[iy as usize * geo.in_w + ix as usize]
+                    img_plane[iy as usize * geo.in_w + ix as usize].into()
                 } else {
-                    0.0
+                    pad
                 };
                 bp[(j / NR) * (kc * NR) + kk * NR + (j % NR)] = v;
                 j += 1;

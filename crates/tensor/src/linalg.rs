@@ -11,13 +11,21 @@
 //!
 //! **The determinism contract.** Every destination element evolves as
 //! one fixed chain `c = (((c₀ + t₀) + t₁) + …)` with `t_kk = a_ik·b_kj`
-//! added in ascending `kk` order — the micro-kernel *loads* its
-//! accumulator tile from `c` and stores it back, so blocking factors,
-//! packing layout, the packed-vs-small-path choice and the thread count
-//! can change only *which tile is computed when*, never the per-element
-//! operation sequence. Rust never contracts `a*b + c` into an FMA, so
-//! results are bit-identical across all of those axes and equal to the
-//! textbook triple loop (see `tests/tests/kernels.rs`).
+//! added in ascending `kk` order — the fp32 tile driver *loads* the
+//! micro-kernel's accumulator tile from `c` and stores it back, so
+//! blocking factors, packing layout, the packed-vs-small-path choice
+//! and the thread count can change only *which tile is computed when*,
+//! never the per-element operation sequence. Rust never contracts
+//! `a*b + c` into an FMA, so results are bit-identical across all of
+//! those axes and equal to the textbook triple loop (see
+//! `tests/tests/kernels.rs`).
+//!
+//! **One micro-kernel, two source dtypes.** The packers widen their
+//! source elements (`f32` or `i8`) into `f32` panels, and the tile
+//! driver is generic over the destination element ([`TileDst`]): an
+//! `f32` destination seeds each `KC`-deep slab's tile from `c`, an
+//! `i32` destination seeds it at zero and adds the finished slab into
+//! `c` (see [`crate::gemm_i8`] for why that is exact).
 //!
 //! Large kernels are parallelized by partitioning the *rows of the
 //! destination* across workers (see [`crate::par`]); each worker runs
@@ -36,6 +44,12 @@ pub(crate) const NR: usize = 8;
 /// while it is reused across every row tile.
 pub(crate) const KC: usize = 256;
 
+/// The int8 path runs on the f32 micro-kernel one `KC`-deep slab at a
+/// time. `|i8·i8| ≤ 2¹⁴`, so every partial sum of a slab is an integer
+/// of magnitude at most `KC·2¹⁴`; below `2²⁴` every such integer is an
+/// f32, so the slab's f32 arithmetic is exact.
+const _: () = assert!(KC * (1 << 14) < 1 << 24, "KC too deep for exact int8 slabs");
+
 /// Below this many MACs the packing overhead outweighs the micro-kernel
 /// win and the plain loop nest runs instead. Both paths produce the
 /// same bits (see module docs), so this threshold is a pure performance
@@ -53,11 +67,11 @@ fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
 // Packing
 // ---------------------------------------------------------------------
 
-/// Packs a `rows×k` row-major matrix into `MR`-row panels: panel `it`
-/// occupies `ap[it·k·MR ..]` with layout `[kk][ii]`, rows beyond `rows`
-/// zero-padded. Tile stride is `k·MR`, so a `[k0, k0+kc)` sub-slab of
-/// any panel is contiguous.
-pub(crate) fn pack_a(rows: usize, k: usize, a: &[f32], ap: &mut [f32]) {
+/// Packs a `rows×k` row-major matrix into `MR`-row panels, widening
+/// each element to `f32`: panel `it` occupies `ap[it·k·MR ..]` with
+/// layout `[kk][ii]`, rows beyond `rows` zero-padded. Tile stride is
+/// `k·MR`, so a `[k0, k0+kc)` sub-slab of any panel is contiguous.
+pub(crate) fn pack_a<T: Copy + Into<f32>>(rows: usize, k: usize, a: &[T], ap: &mut [f32]) {
     for it in 0..rows.div_ceil(MR) {
         let tile = &mut ap[it * k * MR..(it + 1) * k * MR];
         for ii in 0..MR {
@@ -65,7 +79,7 @@ pub(crate) fn pack_a(rows: usize, k: usize, a: &[f32], ap: &mut [f32]) {
             if i < rows {
                 let a_row = &a[i * k..(i + 1) * k];
                 for (kk, &v) in a_row.iter().enumerate() {
-                    tile[kk * MR + ii] = v;
+                    tile[kk * MR + ii] = v.into();
                 }
             } else {
                 for kk in 0..k {
@@ -94,19 +108,28 @@ fn pack_a_t(first: usize, rows: usize, k: usize, m: usize, a: &[f32], ap: &mut [
 }
 
 /// Packs rows `[k0, k0+kc)` of a `k×n` row-major matrix into `NR`-column
-/// panels: panel `jt` occupies `bp[jt·kc·NR ..]` with layout
-/// `[kk][jj]`, columns beyond `n` zero-padded.
-fn pack_b_block(k0: usize, kc: usize, n: usize, b: &[f32], bp: &mut [f32]) {
+/// panels, widening each element to `f32`: panel `jt` occupies
+/// `bp[jt·kc·NR ..]` with layout `[kk][jj]`, columns beyond `n`
+/// zero-padded.
+fn pack_b_block<T: Copy + Into<f32>>(k0: usize, kc: usize, n: usize, b: &[T], bp: &mut [f32]) {
     let n_tiles = n.div_ceil(NR);
     for jt in 0..n_tiles {
         let j0 = jt * NR;
         let width = (n - j0).min(NR);
         let tile = &mut bp[jt * kc * NR..(jt + 1) * kc * NR];
-        for kk in 0..kc {
-            let b_row = &b[(k0 + kk) * n + j0..];
-            let dst = &mut tile[kk * NR..(kk + 1) * NR];
-            dst[..width].copy_from_slice(&b_row[..width]);
-            dst[width..].fill(0.0);
+        for (kk, dst) in tile.chunks_exact_mut(NR).enumerate() {
+            let b_row = &b[(k0 + kk) * n + j0..][..width];
+            match <&[T; NR]>::try_from(b_row) {
+                // A full-width row widens as one fixed-size block, which
+                // LLVM turns into a few vector moves.
+                Ok(full) => dst.copy_from_slice(&full.map(Into::into)),
+                Err(_) => {
+                    for (d, &v) in dst.iter_mut().zip(b_row) {
+                        *d = v.into();
+                    }
+                    dst[width..].fill(0.0);
+                }
+            }
         }
     }
 }
@@ -138,26 +161,18 @@ fn pack_bt_block(k0: usize, kc: usize, k: usize, n: usize, b: &[f32], bp: &mut [
 // Micro-kernel and tile driver
 // ---------------------------------------------------------------------
 
-/// The one micro-kernel: an `MR×NR` accumulator tile, loaded from the
-/// live `mr×nr` corner of `c` (row stride `n`), receives `kc`
-/// rank-1 updates from packed panels `ap` (`[kk][ii]`) and `bp`
-/// (`[kk][jj]`) in ascending `kk`, and is stored back. The 32
-/// accumulator lanes are independent chains, so the loop vectorizes;
-/// padding lanes start at zero, multiply zero-padded panel entries and
-/// are never stored.
-pub(crate) fn micro_kernel(
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    n: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (ii, acc_row) in acc.iter_mut().enumerate().take(mr) {
-        acc_row[..nr].copy_from_slice(&c[ii * n..ii * n + nr]);
-    }
+/// The micro-kernel's accumulator: one `MR×NR` register tile.
+type Tile = [[f32; NR]; MR];
+
+/// The one micro-kernel: the caller's `MR×NR` accumulator `tile`
+/// receives `kc` rank-1 updates from packed panels `ap` (`[kk][ii]`)
+/// and `bp` (`[kk][jj]`) in ascending `kk`. The 32 accumulator lanes
+/// are independent chains, so the loop vectorizes; lanes over padding
+/// rows or columns multiply padded panel entries and are never stored.
+fn micro_kernel(kc: usize, ap: &[f32], bp: &[f32], tile: &mut Tile) {
+    // Updating through the reference keeps the lanes in memory; a local
+    // copy lets LLVM hold all 32 in registers.
+    let mut acc = *tile;
     for (a_col, b_row) in ap[..kc * MR].chunks_exact(MR).zip(bp[..kc * NR].chunks_exact(NR)) {
         for (ii, acc_row) in acc.iter_mut().enumerate() {
             let av = a_col[ii];
@@ -166,8 +181,44 @@ pub(crate) fn micro_kernel(
             }
         }
     }
-    for (ii, acc_row) in acc.iter().enumerate().take(mr) {
-        c[ii * n..ii * n + nr].copy_from_slice(&acc_row[..nr]);
+    *tile = acc;
+}
+
+/// A destination element type of the tile driver: how a `KC`-deep
+/// slab's accumulator tile is seeded from the live `mr×nr` corner of
+/// `c` (row stride `n`), and how the finished tile folds back into it.
+pub(crate) trait TileDst: Sized {
+    /// Seeds `acc` (all zeros on entry) before the slab's first update.
+    fn load(c: &[Self], n: usize, mr: usize, nr: usize, acc: &mut Tile);
+    /// Folds `acc` after the slab's last update into `c`.
+    fn store(c: &mut [Self], n: usize, mr: usize, nr: usize, acc: &Tile);
+}
+
+/// fp32: the tile is loaded from `c` and stored back, so each element
+/// is one chain across all slabs.
+impl TileDst for f32 {
+    fn load(c: &[f32], n: usize, mr: usize, nr: usize, acc: &mut Tile) {
+        for (ii, acc_row) in acc.iter_mut().enumerate().take(mr) {
+            acc_row[..nr].copy_from_slice(&c[ii * n..ii * n + nr]);
+        }
+    }
+    fn store(c: &mut [f32], n: usize, mr: usize, nr: usize, acc: &Tile) {
+        for (ii, acc_row) in acc.iter().enumerate().take(mr) {
+            c[ii * n..ii * n + nr].copy_from_slice(&acc_row[..nr]);
+        }
+    }
+}
+
+/// int8 → i32: each slab starts at zero and its exact integer sum is
+/// added into `c` (see the `KC` exactness assertion).
+impl TileDst for i32 {
+    fn load(_: &[i32], _: usize, _: usize, _: usize, _: &mut Tile) {}
+    fn store(c: &mut [i32], n: usize, mr: usize, nr: usize, acc: &Tile) {
+        for (ii, acc_row) in acc.iter().enumerate().take(mr) {
+            for (d, &lane) in c[ii * n..ii * n + nr].iter_mut().zip(acc_row) {
+                *d += lane as i32;
+            }
+        }
     }
 }
 
@@ -176,12 +227,12 @@ pub(crate) fn micro_kernel(
 /// `KC`-deep slab at a time by `pack_b`, accumulating into the
 /// `rows×n` destination `c`. `pack_b(k0, kc, bp)` must fill `bp` with
 /// the `[k0, k0+kc)` slab in [`pack_b_block`] layout.
-pub(crate) fn gemm_tiles<PB: FnMut(usize, usize, &mut [f32])>(
+pub(crate) fn gemm_tiles<D: TileDst, PB: FnMut(usize, usize, &mut [f32])>(
     rows: usize,
     k: usize,
     n: usize,
     ap: &[f32],
-    c: &mut [f32],
+    c: &mut [D],
     mut pack_b: PB,
 ) {
     let m_tiles = rows.div_ceil(MR);
@@ -197,7 +248,11 @@ pub(crate) fn gemm_tiles<PB: FnMut(usize, usize, &mut [f32])>(
             for jt in 0..n_tiles {
                 let nr = (n - jt * NR).min(NR);
                 let b_tile = &bp[jt * kc * NR..(jt + 1) * kc * NR];
-                micro_kernel(kc, a_tile, b_tile, &mut c[it * MR * n + jt * NR..], n, mr, nr);
+                let c_tile = &mut c[it * MR * n + jt * NR..];
+                let mut acc = [[0.0f32; NR]; MR];
+                D::load(c_tile, n, mr, nr, &mut acc);
+                micro_kernel(kc, a_tile, b_tile, &mut acc);
+                D::store(c_tile, n, mr, nr, &acc);
             }
         }
         k0 += kc;
@@ -233,13 +288,27 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     });
 }
 
+/// Packed `c += a @ b` over a band of `rows` destination rows (`a` holds
+/// the matching rows of the left operand) — the large-product path of
+/// both [`gemm`] and [`crate::gemm_i8`].
+pub(crate) fn gemm_packed<T: Copy + Into<f32>, D: TileDst>(
+    rows: usize,
+    k: usize,
+    n: usize,
+    a: &[T],
+    b: &[T],
+    c: &mut [D],
+) {
+    let mut ap = arena::take(rows.div_ceil(MR) * MR * k);
+    pack_a(rows, k, a, &mut ap);
+    gemm_tiles(rows, k, n, &ap, c, |k0, kc, bp| pack_b_block(k0, kc, n, b, bp));
+}
+
 /// Serial `gemm` over a contiguous band of `rows` destination rows;
 /// `a` holds the matching rows of the left operand.
 fn gemm_rows(rows: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     if rows * k * n >= PACK_MIN_WORK {
-        let mut ap = arena::take(rows.div_ceil(MR) * MR * k);
-        pack_a(rows, k, a, &mut ap);
-        gemm_tiles(rows, k, n, &ap, c, |k0, kc, bp| pack_b_block(k0, kc, n, b, bp));
+        gemm_packed(rows, k, n, a, b, c);
         return;
     }
     // Small path: plain loop nest, same per-element chain (`kk`

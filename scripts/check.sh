@@ -118,4 +118,11 @@ cargo bench --bench text --locked -- --quick > /dev/null
 cmp target/dlbench-reports/BENCH_text.first.json target/dlbench-reports/BENCH_text.json
 rm -f target/dlbench-reports/BENCH_text.first.json
 
+echo "==> suitebench unit tests (benchmark harness, release profile mirror)"
+cargo test --release --offline -q --manifest-path suitebench/Cargo.toml
+
+echo "==> infer-paper smoke (seed 42, 2 s; digests and seed-42 reference checked)"
+cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
+    --workload infer-paper --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
+
 echo "==> OK"

@@ -1,6 +1,6 @@
-//! Kernel equivalence gate: the packed, blocked GEMM kernels and the
-//! fused im2col+GEMM convolution must be *bitwise* equal to their
-//! textbook references.
+//! Kernel equivalence gate: the packed, blocked GEMM kernels (fp32 and
+//! int8) and the fused im2col+GEMM convolutions (fp32 and int8) must be
+//! *bitwise* equal to their textbook references.
 //!
 //! The determinism contract (see `dlbench_tensor::linalg`) says every
 //! destination element evolves as the fixed chain
@@ -13,8 +13,12 @@
 
 use dlbench_data::DatasetKind;
 use dlbench_frameworks::{arch_defaults, FrameworkKind};
-use dlbench_nn::{Conv2d, Initializer, Layer};
-use dlbench_tensor::{gemm, gemm_a_bt, gemm_at_b, gemm_bias, par, SeededRng, Tensor};
+use dlbench_nn::{Conv1dBank, Conv2d, Initializer, Layer};
+use dlbench_quant::{im2col_i8, QConv1dBank, QConv2d};
+use dlbench_tensor::{
+    gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, par, quantize_i8, Conv2dGeometry, SeededRng,
+    Tensor,
+};
 use std::sync::Mutex;
 
 /// Serializes tests that mutate the global worker count.
@@ -66,6 +70,21 @@ fn naive_gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
             }
         }
     }
+}
+
+/// `c += a @ b` over int8 operands, each product widened to i32.
+fn naive_gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    for i in 0..m {
+        for j in 0..n {
+            for kk in 0..k {
+                c[i * n + j] += a[i * k + kk] as i32 * b[kk * n + j] as i32;
+            }
+        }
+    }
+}
+
+fn random_i8(len: usize, rng: &mut SeededRng) -> Vec<i8> {
+    (0..len).map(|_| (rng.index(256) as i64 - 128) as i8).collect()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -216,6 +235,183 @@ fn fused_conv_forward_is_bitwise_transparent_for_all_personalities() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// `gemm_i8` sums each `KC`-deep slab in an f32 tile; the result must
+/// still be the exact i32 triple loop, into a nonzero destination, on
+/// every shape, across slab boundaries (k = 255, 256, 257, 513) and at
+/// the worst cases for exactness (every operand −128 or 127, k = 4096).
+#[test]
+fn gemm_i8_matches_naive_i32_reference_bitwise() {
+    let _gate = gate();
+    let mut rng = SeededRng::new(0x1A8);
+    let mut check = |m: usize, k: usize, n: usize, a: &[i8], b: &[i8]| {
+        let c_init: Vec<i32> = (0..m * n).map(|_| rng.index(2001) as i32 - 1000).collect();
+        let mut want = c_init.clone();
+        naive_gemm_i8(m, k, n, a, b, &mut want);
+        for threads in [1, 4] {
+            let mut got = c_init.clone();
+            at_threads(threads, || gemm_i8(m, k, n, a, b, &mut got));
+            assert_eq!(got, want, "gemm_i8 {m}x{k}x{n} @ {threads} threads");
+        }
+    };
+    let mut operands = SeededRng::new(0x1A9);
+    // Slab-edge depths, plus the batch-1 serving shape (one row takes
+    // the loop-nest path, not the packed one).
+    let extra = [(37, 255, 29), (37, 256, 29), (37, 257, 29), (37, 513, 29), (1, 800, 500)];
+    for &(m, k, n) in SHAPES.iter().chain(&extra) {
+        let a = random_i8(m * k, &mut operands);
+        let b = random_i8(k * n, &mut operands);
+        check(m, k, n, &a, &b);
+    }
+    // −128 maximizes every slab's partial sums (2²² at KC = 256); 127
+    // makes every product odd, so a sum carried across slabs in f32
+    // would round once it passes 2²⁴.
+    let (m, k, n) = (8, 4096, 9);
+    for v in [-128i8, 127] {
+        check(m, k, n, &vec![v; m * k], &vec![v; k * n]);
+    }
+}
+
+/// Input quantizer for N(0, 1) test activations: about ±4 across the
+/// i8 range, with a nonzero zero point so padded taps are not zeros.
+const ACT_SCALE: f32 = 8.0 / 255.0;
+const ACT_ZERO_POINT: i8 = -7;
+
+/// The materialized int8 lowering of one sample through one quantized
+/// conv: `im2col_i8` with zero-point padding, the naive i32 GEMM, then
+/// the layer's requantization `s·(acc − z·Σw) + bias` per output row.
+fn materialized_qconv_sample(
+    geo: &Conv2dGeometry,
+    weight: &[i8],
+    weight_scale: f32,
+    bias: &[f32],
+    xq: &[i8],
+) -> Vec<Vec<f32>> {
+    let (patch, plane) = (geo.patch_len(), geo.out_plane());
+    let mut cols = vec![0i8; patch * plane];
+    im2col_i8(geo, ACT_ZERO_POINT, xq, &mut cols);
+    let oc = bias.len();
+    let mut acc = vec![0i32; oc * plane];
+    naive_gemm_i8(oc, patch, plane, weight, &cols, &mut acc);
+    let s = ACT_SCALE * weight_scale;
+    (0..oc)
+        .map(|o| {
+            let wsum: i32 = weight[o * patch..(o + 1) * patch].iter().map(|&v| v as i32).sum();
+            let corr = ACT_ZERO_POINT as i32 * wsum;
+            acc[o * plane..(o + 1) * plane]
+                .iter()
+                .map(|&a| s * (a - corr) as f32 + bias[o])
+                .collect()
+        })
+        .collect()
+}
+
+fn quantized_input(x: &Tensor) -> Vec<i8> {
+    let mut xq = vec![0i8; x.len()];
+    quantize_i8(x.data(), ACT_SCALE, ACT_ZERO_POINT, &mut xq);
+    xq
+}
+
+/// The fused int8 conv forward must be bitwise-transparent: for every
+/// personality conv geometry (MNIST and CIFAR-10), `QConv2d::forward`
+/// equals `im2col_i8` + the naive i32 GEMM, serial and at 4 threads.
+#[test]
+fn fused_qconv2d_forward_matches_materialized_int8_lowering() {
+    let _gate = gate();
+    let mut rng = SeededRng::new(0x0C8);
+    const BATCH: usize = 2;
+    for fw in FrameworkKind::ALL {
+        for ds in [DatasetKind::Mnist, DatasetKind::Cifar10] {
+            let spec = arch_defaults(fw, ds);
+            let input = (ds.channels(), ds.native_size(), ds.native_size());
+            for (i, (geo, oc)) in spec.conv_geometries(input).iter().enumerate() {
+                let conv = Conv2d::new(
+                    geo.in_channels,
+                    *oc,
+                    geo.kernel_h,
+                    geo.stride,
+                    geo.pad,
+                    Initializer::Xavier,
+                    &mut rng,
+                );
+                let q = QConv2d::from_fp32(&conv, ACT_SCALE, ACT_ZERO_POINT);
+                let x = Tensor::randn(
+                    &[BATCH, geo.in_channels, geo.in_h, geo.in_w],
+                    0.0,
+                    1.0,
+                    &mut rng,
+                );
+                let sample_in = geo.in_channels * geo.in_h * geo.in_w;
+                let want: Vec<f32> = quantized_input(&x)
+                    .chunks(sample_in)
+                    .flat_map(|xq| {
+                        materialized_qconv_sample(
+                            geo,
+                            q.weight().data(),
+                            q.weight().scale,
+                            q.bias(),
+                            xq,
+                        )
+                    })
+                    .flatten()
+                    .collect();
+                for threads in [1, 4] {
+                    let got = at_threads(threads, || q.forward(&x));
+                    assert_eq!(
+                        bits(got.data()),
+                        bits(&want),
+                        "{}/conv{} int8 fused != materialized @ {threads} threads",
+                        spec.name,
+                        i + 1
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Same gate for every IMDB conv bank: `QConv1dBank::forward` equals
+/// the per-branch materialized lowering followed by max-over-time
+/// (strict `>`, earliest time step wins), serial and at 4 threads.
+#[test]
+fn fused_qconv1d_bank_forward_matches_materialized_int8_lowering() {
+    let _gate = gate();
+    let mut rng = SeededRng::new(0x1DB);
+    const BATCH: usize = 2;
+    let ds = DatasetKind::Imdb;
+    for fw in FrameworkKind::ALL {
+        let spec = arch_defaults(fw, ds);
+        let geos = spec.conv_geometries((ds.channels(), ds.native_size(), 1));
+        let (filters, dim) = (geos[0].1, geos[0].0.in_w);
+        let widths: Vec<usize> = geos.iter().map(|(g, _)| g.kernel_h).collect();
+        let bank = Conv1dBank::new(filters, &widths, dim, Initializer::Xavier, &mut rng);
+        let q = QConv1dBank::from_fp32(&bank, ACT_SCALE, ACT_ZERO_POINT);
+        let x = Tensor::randn(&[BATCH, 1, ds.native_size(), dim], 0.0, 1.0, &mut rng);
+        let mut want = Vec::new();
+        for xq in quantized_input(&x).chunks(ds.native_size() * dim) {
+            for ((geo, _), (weight, bias)) in geos.iter().zip(q.branch_parts()) {
+                for row in materialized_qconv_sample(geo, weight.data(), weight.scale, bias, xq) {
+                    let mut best = row[0];
+                    for &v in &row[1..] {
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                    want.push(best);
+                }
+            }
+        }
+        for threads in [1, 4] {
+            let got = at_threads(threads, || q.forward(&x));
+            assert_eq!(
+                bits(got.data()),
+                bits(&want),
+                "{} int8 fused bank != materialized @ {threads} threads",
+                spec.name
+            );
         }
     }
 }
