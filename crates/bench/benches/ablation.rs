@@ -5,8 +5,9 @@
 //! * conv lowering: im2col+GEMM (the shipped path) vs a naive direct
 //!   convolution reference.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dlbench_bench::BENCH_SEED;
+use std::hint::black_box;
+
+use dlbench_bench::{Harness, BENCH_SEED};
 use dlbench_data::DatasetKind;
 use dlbench_frameworks::{DefaultSetting, FrameworkKind};
 use dlbench_nn::{Conv2d, Initializer, Layer};
@@ -43,49 +44,41 @@ fn direct_conv(
     }
 }
 
-fn bench_conv_lowering(c: &mut Criterion) {
+fn bench_conv_lowering(h: &mut Harness) {
     let mut rng = SeededRng::new(BENCH_SEED);
     let x = Tensor::randn(&[4, 8, 16, 16], 0.0, 1.0, &mut rng);
     let mut conv = Conv2d::new(8, 16, 5, 1, 0, Initializer::Xavier, &mut rng);
     let weight = conv.weight().clone();
-    let mut group = c.benchmark_group("conv_lowering");
-    group.bench_function("im2col_gemm", |bench| {
-        bench.iter(|| black_box(conv.forward(black_box(&x), false)))
-    });
+    h.bench("conv_lowering/im2col_gemm", 0, || conv.forward(black_box(&x), false));
     let mut out = Tensor::zeros(&[4, 16, 12, 12]);
-    group.bench_function("naive_direct", |bench| {
-        bench.iter(|| {
-            direct_conv(black_box(&x), black_box(&weight), &mut out);
-            black_box(&out);
-        })
+    h.bench("conv_lowering/naive_direct", 0, || {
+        direct_conv(black_box(&x), black_box(&weight), &mut out);
+        black_box(&out);
     });
-    group.finish();
 }
 
-fn bench_execution_styles(c: &mut Criterion) {
+fn bench_execution_styles(h: &mut Harness) {
     // Not a wall-clock bench: evaluates the *cost model* under the three
     // execution profiles for the same physical workload, verifying the
     // ablation direction (eager dispatch costs more than graph-batched).
     let spec = DefaultSetting::new(FrameworkKind::TensorFlow, DatasetKind::Mnist).arch();
     let cost = spec.paper_cost((1, 28, 28), 50);
     let gpu = devices::gtx_1080_ti();
-    let mut group = c.benchmark_group("execution_style_cost_model");
     for (name, profile) in [
         ("graph_batched_tf", profiles::tensorflow()),
         ("layerwise_caffe", profiles::caffe()),
         ("eager_torch", profiles::torch()),
     ] {
         let model = CostModel::new(gpu.clone(), profile);
-        group.bench_function(name, |bench| {
-            bench.iter(|| black_box(model.train_iteration_seconds_batched(black_box(&cost), 50)))
+        h.bench(format!("execution_style_cost_model/{name}"), 0, || {
+            model.train_iteration_seconds_batched(black_box(&cost), 50)
         });
     }
-    group.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_conv_lowering, bench_execution_styles
+fn main() {
+    let mut h = Harness::from_args();
+    bench_conv_lowering(&mut h);
+    bench_execution_styles(&mut h);
+    h.write("ablation");
 }
-criterion_main!(benches);

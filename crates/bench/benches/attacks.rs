@@ -1,8 +1,9 @@
-//! Criterion micro-benchmarks of the adversarial attack kernels.
+//! Micro-benchmarks of the adversarial attack kernels.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
+
 use dlbench_adversarial::{fgsm, jsma, FgsmConfig, JsmaConfig};
-use dlbench_bench::BENCH_SEED;
+use dlbench_bench::{Harness, BENCH_SEED};
 use dlbench_nn::{Conv2d, Flatten, Initializer, Linear, MaxPool2d, Network, Relu};
 use dlbench_tensor::{SeededRng, Tensor};
 
@@ -16,30 +17,26 @@ fn small_mnist_net(rng: &mut SeededRng) -> Network {
     net
 }
 
-fn bench_fgsm(c: &mut Criterion) {
+fn bench_fgsm(h: &mut Harness) {
     let mut rng = SeededRng::new(BENCH_SEED);
     let mut net = small_mnist_net(&mut rng);
     let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
     let config = FgsmConfig { epsilon: 0.1, clamp: Some((0.0, 1.0)) };
-    c.bench_function("fgsm_single", |bench| {
-        bench.iter(|| black_box(fgsm(&mut net, black_box(&x), 3, &config)))
-    });
+    h.bench("fgsm_single", 0, || fgsm(&mut net, black_box(&x), 3, &config));
 }
 
-fn bench_jsma(c: &mut Criterion) {
+fn bench_jsma(h: &mut Harness) {
     let mut rng = SeededRng::new(BENCH_SEED);
     let mut net = small_mnist_net(&mut rng);
     let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
     // Small distortion budget keeps the bench per-iteration shaped.
     let config = JsmaConfig { theta: 0.3, max_distortion: 0.05, clamp: (0.0, 1.0) };
-    c.bench_function("jsma_budgeted", |bench| {
-        bench.iter(|| black_box(jsma(&mut net, black_box(&x), 7, &config)))
-    });
+    h.bench("jsma_budgeted", 0, || jsma(&mut net, black_box(&x), 7, &config));
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_fgsm, bench_jsma
+fn main() {
+    let mut h = Harness::from_args();
+    bench_fgsm(&mut h);
+    bench_jsma(&mut h);
+    h.write("attacks");
 }
-criterion_main!(benches);

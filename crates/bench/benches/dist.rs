@@ -15,17 +15,17 @@
 //! size (see the determinism gate), so the curves isolate the cost
 //! model — exactly the separation the paper's methodology asks for.
 
-use dlbench_bench::{reports_dir, BENCH_SEED};
+use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
 use dlbench_dist::{scaling_sweep, Strategy};
 use dlbench_frameworks::Scale;
 use dlbench_trace::Stopwatch;
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        println!("dist: bench");
+    let args = BenchArgs::from_env();
+    if args.listed("dist") {
         return;
     }
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = args.quick;
     let (workers, max_steps): (&[usize], Option<usize>) =
         if quick { (&[1, 2], Some(30)) } else { (&[1, 2, 4, 8], None) };
 
@@ -76,13 +76,6 @@ fn main() {
         }
     }
 
-    let out_dir = reports_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("BENCH_dist.json");
-    match std::fs::write(&path, doc.pretty()) {
-        Ok(()) => {
-            println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display())
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let path = write_report("BENCH_dist.json", &doc.pretty());
+    println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display());
 }

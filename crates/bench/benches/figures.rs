@@ -13,25 +13,24 @@
 //! `dlbench-simtime`). JSON copies of every report are written to
 //! `target/dlbench-reports/`.
 
+use dlbench_bench::{reports_dir, write_report, BenchArgs};
 use dlbench_core::{BenchmarkRunner, ExperimentId};
 use dlbench_frameworks::Scale;
 use dlbench_trace::Stopwatch;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with('-')).collect();
-    if std::env::args().any(|a| a == "--list") {
-        println!("figures: bench");
+    let args = BenchArgs::from_env();
+    if args.listed("figures") {
         return;
     }
     let scale = Scale::from_env();
     let mut runner = BenchmarkRunner::new(scale, 42);
-    let out_dir = std::path::Path::new("target").join("dlbench-reports");
-    let _ = std::fs::create_dir_all(&out_dir);
 
-    let selected: Vec<ExperimentId> = if args.is_empty() {
+    let selected: Vec<ExperimentId> = if args.positionals.is_empty() {
         ExperimentId::ALL.to_vec()
     } else {
-        args.iter()
+        args.positionals
+            .iter()
             .filter_map(|key| {
                 let id = ExperimentId::from_key(key);
                 if id.is_none() {
@@ -50,15 +49,12 @@ fn main() {
         let report = id.run(&mut runner);
         println!("{}", report.render());
         println!("  [{} regenerated in {:.1}s]\n", id.key(), t0.elapsed_s());
-        let path = out_dir.join(format!("{}.json", id.key()));
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("could not write {}: {e}", path.display());
-        }
+        write_report(&format!("{}.json", id.key()), &report.to_json());
     }
     println!(
         "done: {} training cells, {:.1}s total; JSON reports in {}",
         runner.trained_cells(),
         started.elapsed_s(),
-        out_dir.display()
+        reports_dir().display()
     );
 }

@@ -13,17 +13,16 @@
 //! fields, so the document is byte-identical across runs — check.sh
 //! runs it twice and `cmp`s the output.
 
-use dlbench_bench::{reports_dir, BENCH_SEED};
+use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
 use dlbench_fleet::{fleet_sweep_doc, RoutingPolicy, SimFleetConfig};
 use dlbench_trace::Stopwatch;
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        println!("fleet: bench");
+    let args = BenchArgs::from_env();
+    if args.listed("fleet") {
         return;
     }
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (rates, requests): (&[f64], usize) = if quick {
+    let (rates, requests): (&[f64], usize) = if args.quick {
         (&[1_000.0, 50_000.0, 1_000_000.0], 600)
     } else {
         (&[1_000.0, 10_000.0, 100_000.0, 1_000_000.0, 4_000_000.0], 4_000)
@@ -76,13 +75,6 @@ fn main() {
         }
     }
 
-    let out_dir = reports_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("BENCH_fleet.json");
-    match std::fs::write(&path, doc.pretty() + "\n") {
-        Ok(()) => {
-            println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display())
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let path = write_report("BENCH_fleet.json", &(doc.pretty() + "\n"));
+    println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display());
 }

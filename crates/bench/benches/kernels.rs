@@ -1,26 +1,24 @@
 //! Kernel throughput harness and CI perf-regression gate.
 //!
-//! Hand-rolled (no criterion facade) so every record carries achieved
-//! GFLOP/s next to its timing, and so the binary itself can enforce the
-//! regression gate: measures the four GEMM variants, the int8 inference
-//! kernels (`gemm_i8`, `quantize_i8`, `dequantize_i8`), `im2col`,
-//! the convolution forward of every personality conv layer in fp32 and
-//! int8, and the text-workload layers (embedding lookup, 3/4/5-width
-//! conv1d banks in fp32 and int8), writes
+//! Every record carries achieved GFLOP/s next to its timing, and the
+//! binary itself enforces the regression gate: measures the four GEMM
+//! variants, the int8 inference kernels (`gemm_i8`, `quantize_i8`,
+//! `dequantize_i8`), `im2col`, the convolution forward of every
+//! personality conv layer in fp32 and int8, and the text-workload layers
+//! (embedding lookup, 3/4/5-width conv1d banks in fp32 and int8), writes
 //! `target/dlbench-reports/BENCH_kernels.json`, and — when
 //! `DLBENCH_PERF_BASELINE` points at a committed baseline JSON — exits
 //! non-zero if any kernel runs >15% slower than the baseline
 //! (`scripts/check.sh` wires this up against
-//! `crates/bench/baselines/kernels.json`).
-//!
-//! CLI contract matches the criterion facade so existing invocations
-//! keep working: `--list` prints names, `--quick`/`--test` runs one
-//! iteration per kernel (and skips the gate — single iterations are too
-//! noisy to judge), a positional argument filters by substring.
+//! `crates/bench/baselines/kernels.json`). `--quick`/`--test` runs one
+//! iteration per kernel and skips the gate — single iterations are too
+//! noisy to judge.
 
-use std::time::Instant;
+use std::path::Path;
 
-use dlbench_bench::{reports_dir, BENCH_SEED};
+use dlbench_bench::{
+    gate_failures, load_baseline, merge_best, Harness, BENCH_SEED, REGRESSION_TOLERANCE,
+};
 use dlbench_frameworks::{arch_defaults, FrameworkKind};
 use dlbench_nn::{Conv1dBank, Conv2d, Embedding, Initializer, Layer};
 use dlbench_quant::{QConv1dBank, QConv2d};
@@ -29,81 +27,12 @@ use dlbench_tensor::{
     Conv2dGeometry, SeededRng, Tensor,
 };
 
-/// Timed samples per kernel; the fastest is recorded, which filters the
-/// scheduler noise a mean would fold into the regression gate.
-const SAMPLES: usize = 3;
-
-/// Target wall-clock per timed sample.
-const SAMPLE_BUDGET_NS: u128 = 150_000_000;
-
-/// Allowed slowdown versus the committed baseline before the gate fails.
-const REGRESSION_TOLERANCE: f64 = 1.15;
-
 /// Total measurement passes the gate may take before judging: a shared
 /// host can stall any single pass well past the tolerance, so the gate
 /// re-runs the suite and scores each kernel on its best pass — "can the
 /// kernel still run this fast" is the regression question, and the
 /// minimum over passes answers it without loosening the 15% bar.
 const MAX_GATE_PASSES: usize = 3;
-
-struct Record {
-    id: String,
-    mean_ns: f64,
-    iters: u64,
-    gflops: f64,
-}
-
-struct Harness {
-    quick: bool,
-    list_only: bool,
-    filter: Option<String>,
-    records: Vec<Record>,
-}
-
-impl Harness {
-    fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self {
-            quick: args.iter().any(|a| a == "--quick" || a == "--test"),
-            list_only: args.iter().any(|a| a == "--list"),
-            filter: args.iter().find(|a| !a.starts_with('-')).cloned(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Times `routine`, recording best-of-[`SAMPLES`] ns/iter and the
-    /// achieved GFLOP/s implied by `flops` per call (0 ⇒ data movement
-    /// only, e.g. `im2col`; reported as 0 GFLOP/s).
-    fn bench<F: FnMut()>(&mut self, id: impl Into<String>, flops: u64, mut routine: F) {
-        let id = id.into();
-        if self.list_only {
-            println!("{id}: bench");
-            return;
-        }
-        if let Some(f) = &self.filter {
-            if !id.contains(f.as_str()) {
-                return;
-            }
-        }
-        // Warm-up doubles as calibration: one timed call sizes the batch.
-        let t0 = Instant::now();
-        routine();
-        let per_iter = t0.elapsed().as_nanos().max(1);
-        let iters =
-            if self.quick { 1 } else { (SAMPLE_BUDGET_NS / per_iter).clamp(1, 10_000) as u64 };
-        let mut best_ns = f64::INFINITY;
-        for _ in 0..if self.quick { 1 } else { SAMPLES } {
-            let t = Instant::now();
-            for _ in 0..iters {
-                routine();
-            }
-            best_ns = best_ns.min(t.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        let gflops = flops as f64 / best_ns;
-        println!("{id:<40} {best_ns:>14.1} ns/iter  {gflops:>8.3} GFLOP/s  ({iters} iters)");
-        self.records.push(Record { id, mean_ns: best_ns, iters, gflops });
-    }
-}
 
 fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * (m as u64) * (k as u64) * (n as u64)
@@ -251,12 +180,10 @@ fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
                     * (geo.patch_len() as u64)
                     * (geo.out_plane() as u64);
                 h.bench(format!("conv_fwd/{}/conv{}", spec.name, i + 1), flops, || {
-                    std::hint::black_box(conv.forward(&x, false));
+                    conv.forward(&x, false)
                 });
                 let q = QConv2d::from_fp32(&conv, ACT_SCALE, 0);
-                h.bench(format!("qconv_fwd/{}/conv{}", spec.name, i + 1), flops, || {
-                    std::hint::black_box(q.forward(&x));
-                });
+                h.bench(format!("qconv_fwd/{}/conv{}", spec.name, i + 1), flops, || q.forward(&x));
             }
         }
     }
@@ -276,9 +203,7 @@ fn bench_text_layers(h: &mut Harness, rng: &mut SeededRng) {
     // TF-IMDB embedding width; Caffe/Torch use 64 (covered by the bank
     // benches below reading an embedded sequence of their own width).
     let mut emb = Embedding::new(dlbench_text::VOCAB, 128, Initializer::Xavier, rng);
-    h.bench("embedding_lookup/imdb_len256_dim128", 0, || {
-        std::hint::black_box(emb.forward(&x, false));
-    });
+    h.bench("embedding_lookup/imdb_len256_dim128", 0, || emb.forward(&x, false));
 
     // One conv bank per personality: (filters, embed dim) from
     // `arch_defaults(fw, Imdb)`, widths 3/4/5 everywhere.
@@ -290,103 +215,9 @@ fn bench_text_layers(h: &mut Harness, rng: &mut SeededRng) {
         let embedded = Tensor::randn(&[BATCH, 1, len, dim], 0.0, 1.0, rng);
         let flops: u64 =
             widths.iter().map(|w| 2 * (BATCH * filters * (w * dim) * (len - w + 1)) as u64).sum();
-        h.bench(format!("conv1d_fwd/{name}"), flops, || {
-            std::hint::black_box(bank.forward(&embedded, false));
-        });
+        h.bench(format!("conv1d_fwd/{name}"), flops, || bank.forward(&embedded, false));
         let q = QConv1dBank::from_fp32(&bank, ACT_SCALE, 0);
-        h.bench(format!("qconv1d_fwd/{name}"), flops, || {
-            std::hint::black_box(q.forward(&embedded));
-        });
-    }
-}
-
-fn export_json(records: &[Record]) -> std::path::PathBuf {
-    let dir = reports_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}, \"gflops\": {:.4}}}{}\n",
-            r.id,
-            r.mean_ns,
-            r.iters,
-            r.gflops,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = dir.join("BENCH_kernels.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("could not write {}: {e}", path.display());
-    }
-    path
-}
-
-/// Loads the committed baseline as `id -> mean_ns`, exiting non-zero if
-/// the file is missing or malformed (a silent gate is no gate).
-fn load_baseline(baseline_path: &str) -> std::collections::BTreeMap<String, f64> {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("perf gate: cannot read baseline {baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let parsed = match dlbench_json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("perf gate: cannot parse baseline {baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut baseline = std::collections::BTreeMap::new();
-    if let Some(list) = parsed.get("benchmarks").and_then(|b| b.as_array()) {
-        for entry in list {
-            if let (Some(id), Some(ns)) = (
-                entry.get("id").and_then(|v| v.as_str()),
-                entry.get("mean_ns").and_then(|v| v.as_f64()),
-            ) {
-                baseline.insert(id.to_string(), ns);
-            }
-        }
-    }
-    baseline
-}
-
-/// Kernels running more than [`REGRESSION_TOLERANCE`]× slower than the
-/// baseline. Kernels present on only one side (renamed/added) are
-/// ignored, so the gate never blocks a harness change itself — refresh
-/// the baseline in the same PR instead.
-fn gate_failures(
-    records: &[Record],
-    baseline: &std::collections::BTreeMap<String, f64>,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for r in records {
-        if let Some(&base_ns) = baseline.get(&r.id) {
-            let ratio = r.mean_ns / base_ns;
-            if ratio > REGRESSION_TOLERANCE {
-                failures.push(format!(
-                    "  {}: {:.1} ns/iter vs baseline {:.1} ({:+.1}%)",
-                    r.id,
-                    r.mean_ns,
-                    base_ns,
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    failures
-}
-
-/// Keeps, per kernel, the faster of the existing and retry timing.
-fn merge_best(records: &mut [Record], retry: Vec<Record>) {
-    for new in retry {
-        if let Some(old) = records.iter_mut().find(|r| r.id == new.id) {
-            if new.mean_ns < old.mean_ns {
-                *old = new;
-            }
-        }
+        h.bench(format!("qconv1d_fwd/{name}"), flops, || q.forward(&embedded));
     }
 }
 
@@ -402,33 +233,34 @@ fn main() {
     let mut h = Harness::from_args();
     let mut rng = SeededRng::new(BENCH_SEED);
     run_suite(&mut h, &mut rng);
-    if h.list_only || h.records.is_empty() {
+    if h.records.is_empty() {
         return;
     }
-    let gating = std::env::var("DLBENCH_PERF_BASELINE").ok().filter(|_| !h.quick);
-    if let Some(baseline_path) = &gating {
-        let baseline = load_baseline(baseline_path);
+    let baseline_path = std::env::var("DLBENCH_PERF_BASELINE").ok();
+    let gate = baseline_path.as_deref().filter(|_| !h.args.quick).map(|path| {
+        // A silent gate is no gate: a missing or malformed baseline fails.
+        let baseline = load_baseline(Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("perf gate: {e}");
+            std::process::exit(1);
+        });
+        (path, baseline)
+    });
+    if let Some((_, baseline)) = &gate {
         let mut passes = 1;
-        while !gate_failures(&h.records, &baseline).is_empty() && passes < MAX_GATE_PASSES {
+        while !gate_failures(&h.records, baseline).is_empty() && passes < MAX_GATE_PASSES {
             passes += 1;
             eprintln!("perf gate: kernels over tolerance, re-measuring (pass {passes})");
-            let mut retry = Harness {
-                quick: false,
-                list_only: false,
-                filter: h.filter.clone(),
-                records: Vec::new(),
-            };
+            let mut retry = Harness::new(h.args.clone());
             run_suite(&mut retry, &mut rng);
             merge_best(&mut h.records, retry.records);
         }
     }
-    let path = export_json(&h.records);
-    println!("wrote {}", path.display());
-    match &gating {
-        Some(baseline_path) => {
-            let failures = gate_failures(&h.records, &load_baseline(baseline_path));
+    h.write("kernels");
+    match gate {
+        Some((path, baseline)) => {
+            let failures = gate_failures(&h.records, &baseline);
             if !failures.is_empty() {
-                eprintln!("perf gate FAILED — kernels >15% slower than {baseline_path}:");
+                eprintln!("perf gate FAILED — kernels >15% slower than {path}:");
                 for f in &failures {
                     eprintln!("{f}");
                 }
@@ -440,7 +272,7 @@ fn main() {
                 (REGRESSION_TOLERANCE - 1.0) * 100.0
             );
         }
-        None if std::env::var("DLBENCH_PERF_BASELINE").is_ok() => {
+        None if baseline_path.is_some() => {
             println!("perf gate skipped (--quick single-iteration timings are too noisy)");
         }
         None => {}

@@ -10,8 +10,9 @@
 //! the *results* are bit-identical either way (the determinism gate in
 //! `tests/` asserts this), so any speedup read off this file is free.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dlbench_bench::BENCH_SEED;
+use std::hint::black_box;
+
+use dlbench_bench::{Harness, BENCH_SEED};
 use dlbench_nn::{Conv2d, Initializer, Layer};
 use dlbench_tensor::{gemm, par, SeededRng, Tensor};
 
@@ -19,50 +20,40 @@ use dlbench_tensor::{gemm, par, SeededRng, Tensor};
 /// variant actually fans out.
 const GEMM_SIZES: [usize; 2] = [128, 256];
 
-fn bench_gemm_serial_vs_parallel(c: &mut Criterion) {
+fn bench_gemm_serial_vs_parallel(h: &mut Harness) {
     let mut rng = SeededRng::new(BENCH_SEED);
-    let mut group = c.benchmark_group("gemm");
     for &n in &GEMM_SIZES {
         let a = Tensor::randn(&[n, n], 0.0, 1.0, &mut rng);
         let b = Tensor::randn(&[n, n], 0.0, 1.0, &mut rng);
         let mut out = vec![0.0f32; n * n];
-        group.bench_function(format!("serial/{n}x{n}x{n}"), |bench| {
-            bench.iter(|| {
-                par::run_as_worker(|| {
-                    out.iter_mut().for_each(|v| *v = 0.0);
-                    gemm(n, n, n, black_box(a.data()), black_box(b.data()), &mut out);
-                })
-            })
-        });
-        group.bench_function(format!("parallel/{n}x{n}x{n}"), |bench| {
-            bench.iter(|| {
+        h.bench(format!("gemm/serial/{n}x{n}x{n}"), 0, || {
+            par::run_as_worker(|| {
                 out.iter_mut().for_each(|v| *v = 0.0);
                 gemm(n, n, n, black_box(a.data()), black_box(b.data()), &mut out);
             })
         });
+        h.bench(format!("gemm/parallel/{n}x{n}x{n}"), 0, || {
+            out.iter_mut().for_each(|v| *v = 0.0);
+            gemm(n, n, n, black_box(a.data()), black_box(b.data()), &mut out);
+        });
     }
-    group.finish();
 }
 
-fn bench_conv_serial_vs_parallel(c: &mut Criterion) {
+fn bench_conv_serial_vs_parallel(h: &mut Harness) {
     let mut rng = SeededRng::new(BENCH_SEED);
     // Caffe CIFAR conv1 geometry at batch 32: 3->32 channels, 5x5,
     // pad 2 — comfortably past the parallel work gate.
     let mut conv = Conv2d::new(3, 32, 5, 1, 2, Initializer::Xavier, &mut rng);
     let input = Tensor::randn(&[32, 3, 32, 32], 0.0, 1.0, &mut rng);
-    let mut group = c.benchmark_group("conv_forward");
-    group.bench_function("serial/b32_3x32x32", |bench| {
-        bench.iter(|| par::run_as_worker(|| black_box(conv.forward(black_box(&input), false))))
+    h.bench("conv_forward/serial/b32_3x32x32", 0, || {
+        par::run_as_worker(|| conv.forward(black_box(&input), false))
     });
-    group.bench_function("parallel/b32_3x32x32", |bench| {
-        bench.iter(|| black_box(conv.forward(black_box(&input), false)))
-    });
-    group.finish();
+    h.bench("conv_forward/parallel/b32_3x32x32", 0, || conv.forward(black_box(&input), false));
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_gemm_serial_vs_parallel, bench_conv_serial_vs_parallel
+fn main() {
+    let mut h = Harness::from_args();
+    bench_gemm_serial_vs_parallel(&mut h);
+    bench_conv_serial_vs_parallel(&mut h);
+    h.write("parallel");
 }
-criterion_main!(benches);

@@ -23,7 +23,7 @@
 //! runs — check.sh runs it twice and `cmp`s the output.
 
 use dlbench_adversarial::{fgsm, jsma, pgd, FgsmConfig, JsmaConfig, PgdConfig};
-use dlbench_bench::{reports_dir, BENCH_SEED};
+use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
 use dlbench_data::{Dataset, DatasetKind, Preprocessing};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_json::JsonValue;
@@ -203,12 +203,11 @@ fn run_cell(
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        println!("quant: bench");
+    let args = BenchArgs::from_env();
+    if args.listed("quant") {
         return;
     }
-    let quick = std::env::args().any(|a| a == "--quick" || a == "--test");
-    let (attack_samples, jsma_samples) = if quick { (8, 2) } else { (32, 4) };
+    let (attack_samples, jsma_samples) = if args.quick { (8, 2) } else { (32, 4) };
 
     println!(
         "DLBench quantization sweep — scale Tiny, seed {BENCH_SEED:#x}, \
@@ -244,13 +243,6 @@ fn main() {
         ("jsma_samples".into(), jsma_samples.into()),
         ("rows".into(), JsonValue::Array(rows)),
     ]);
-    let out_dir = reports_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("BENCH_quant.json");
-    match std::fs::write(&path, doc.pretty() + "\n") {
-        Ok(()) => {
-            println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display())
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let path = write_report("BENCH_quant.json", &(doc.pretty() + "\n"));
+    println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display());
 }

@@ -13,19 +13,18 @@
 //! batches (higher throughput per forward) at the price of queueing
 //! latency — the classic serving trade-off this file makes measurable.
 
-use dlbench_bench::{reports_dir, BENCH_SEED};
+use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
 use dlbench_frameworks::Scale;
 use dlbench_serve::loadgen;
 use dlbench_trace::Stopwatch;
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        println!("serve: bench");
+    let args = BenchArgs::from_env();
+    if args.listed("serve") {
         return;
     }
-    let quick = std::env::args().any(|a| a == "--quick");
     let (deadlines_ms, requests, rate_rps): (&[u64], usize, f64) =
-        if quick { (&[0, 2], 24, 200.0) } else { (&[0, 1, 2, 5, 10], 96, 300.0) };
+        if args.quick { (&[0, 2], 24, 200.0) } else { (&[0, 1, 2, 5, 10], 96, 300.0) };
     let max_batch = 8;
 
     println!(
@@ -66,13 +65,6 @@ fn main() {
         }
     }
 
-    let out_dir = reports_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("BENCH_serve.json");
-    match std::fs::write(&path, doc.pretty()) {
-        Ok(()) => {
-            println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display())
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let path = write_report("BENCH_serve.json", &doc.pretty());
+    println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display());
 }

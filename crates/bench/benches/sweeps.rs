@@ -5,6 +5,7 @@
 //!
 //! `cargo bench --bench sweeps`
 
+use dlbench_bench::BenchArgs;
 use dlbench_data::{BatchIter, DatasetKind};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_nn::SoftmaxCrossEntropy;
@@ -47,9 +48,7 @@ fn sweep(base_lr: f32, batch_size: usize, iters: usize, seed: u64) -> (f32, f64)
 }
 
 fn main() {
-    // Honour Criterion's CLI contract enough to be a bench target.
-    if std::env::args().any(|a| a == "--list") {
-        println!("sweeps: bench");
+    if BenchArgs::from_env().listed("sweeps") {
         return;
     }
     println!("Batch-size sweep (Caffe-MNIST config, lr 0.01, 200 iterations)\n");

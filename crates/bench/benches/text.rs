@@ -23,7 +23,7 @@
 //! runs — check.sh runs it twice and `cmp`s the output.
 
 use dlbench_adversarial::{fgsm_embedding, pgd_embedding, EmbedAttackConfig, PgdConfig};
-use dlbench_bench::{reports_dir, BENCH_SEED};
+use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
 use dlbench_data::{Dataset, DatasetKind};
 use dlbench_frameworks::{trainer, training_defaults, DefaultSetting, FrameworkKind, Scale};
 use dlbench_json::JsonValue;
@@ -185,12 +185,11 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        println!("text: bench");
+    let args = BenchArgs::from_env();
+    if args.listed("text") {
         return;
     }
-    let quick = std::env::args().any(|a| a == "--quick" || a == "--test");
-    let attack_samples = if quick { 8 } else { 32 };
+    let attack_samples = if args.quick { 8 } else { 32 };
 
     println!(
         "DLBench text sweep — synthetic IMDB, scale Tiny, seed {BENCH_SEED:#x}, \
@@ -223,13 +222,6 @@ fn main() {
         ("attack_samples".into(), attack_samples.into()),
         ("rows".into(), JsonValue::Array(rows)),
     ]);
-    let out_dir = reports_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("BENCH_text.json");
-    match std::fs::write(&path, doc.pretty() + "\n") {
-        Ok(()) => {
-            println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display())
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let path = write_report("BENCH_text.json", &(doc.pretty() + "\n"));
+    println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display());
 }

@@ -5,39 +5,34 @@
 //! runtime-configured tracing is that shipping the instrumentation is
 //! free when nobody is looking.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dlbench_bench::BENCH_SEED;
+use std::hint::black_box;
+
+use dlbench_bench::{Harness, BENCH_SEED};
 use dlbench_tensor::{gemm, im2col, Conv2dGeometry, SeededRng, Tensor};
 use dlbench_trace::TraceConfig;
 
-fn bench_gemm_tracing(c: &mut Criterion) {
+fn bench_gemm_tracing(h: &mut Harness) {
     let mut rng = SeededRng::new(BENCH_SEED);
     let n = 128usize;
     let a = Tensor::randn(&[n, n], 0.0, 1.0, &mut rng);
     let b = Tensor::randn(&[n, n], 0.0, 1.0, &mut rng);
     let mut out = vec![0.0f32; n * n];
-    let mut group = c.benchmark_group("trace_gemm_128");
     dlbench_trace::configure(TraceConfig::Off);
-    group.bench_function("tracing_off", |bench| {
-        bench.iter(|| {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            gemm(n, n, n, black_box(a.data()), black_box(b.data()), &mut out);
-        })
+    h.bench("trace_gemm_128/tracing_off", 0, || {
+        out.iter_mut().for_each(|v| *v = 0.0);
+        gemm(n, n, n, black_box(a.data()), black_box(b.data()), &mut out);
     });
     dlbench_trace::configure(TraceConfig::on());
     dlbench_trace::clear();
-    group.bench_function("tracing_on", |bench| {
-        bench.iter(|| {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            gemm(n, n, n, black_box(a.data()), black_box(b.data()), &mut out);
-        })
+    h.bench("trace_gemm_128/tracing_on", 0, || {
+        out.iter_mut().for_each(|v| *v = 0.0);
+        gemm(n, n, n, black_box(a.data()), black_box(b.data()), &mut out);
     });
     dlbench_trace::configure(TraceConfig::Off);
     dlbench_trace::clear();
-    group.finish();
 }
 
-fn bench_im2col_tracing(c: &mut Criterion) {
+fn bench_im2col_tracing(h: &mut Harness) {
     let mut rng = SeededRng::new(BENCH_SEED);
     // Caffe LeNet conv1 geometry: a small kernel, so per-call tracing
     // overhead is as visible as it ever gets on this hot path.
@@ -52,24 +47,22 @@ fn bench_im2col_tracing(c: &mut Criterion) {
     };
     let input = Tensor::randn(&[1, 28 * 28], 0.0, 1.0, &mut rng);
     let mut cols = vec![0.0f32; geo.patch_len() * geo.out_plane()];
-    let mut group = c.benchmark_group("trace_im2col_lenet_conv1");
     dlbench_trace::configure(TraceConfig::Off);
-    group.bench_function("tracing_off", |bench| {
-        bench.iter(|| im2col(&geo, black_box(input.data()), black_box(&mut cols)))
+    h.bench("trace_im2col_lenet_conv1/tracing_off", 0, || {
+        im2col(&geo, black_box(input.data()), black_box(&mut cols))
     });
     dlbench_trace::configure(TraceConfig::on());
     dlbench_trace::clear();
-    group.bench_function("tracing_on", |bench| {
-        bench.iter(|| im2col(&geo, black_box(input.data()), black_box(&mut cols)))
+    h.bench("trace_im2col_lenet_conv1/tracing_on", 0, || {
+        im2col(&geo, black_box(input.data()), black_box(&mut cols))
     });
     dlbench_trace::configure(TraceConfig::Off);
     dlbench_trace::clear();
-    group.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_gemm_tracing, bench_im2col_tracing
+fn main() {
+    let mut h = Harness::from_args();
+    bench_gemm_tracing(&mut h);
+    bench_im2col_tracing(&mut h);
+    h.write("trace");
 }
-criterion_main!(benches);

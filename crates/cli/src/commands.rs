@@ -13,31 +13,11 @@ use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_simtime::devices;
 use dlbench_tensor::SeededRng;
 
-pub(crate) fn parse_framework(raw: &str) -> Result<FrameworkKind, String> {
-    match raw.to_ascii_lowercase().as_str() {
-        "tf" | "tensorflow" => Ok(FrameworkKind::TensorFlow),
-        "caffe" => Ok(FrameworkKind::Caffe),
-        "torch" => Ok(FrameworkKind::Torch),
-        other => Err(format!("unknown framework `{other}` (tf|caffe|torch)")),
-    }
-}
-
-pub(crate) fn parse_dataset(raw: &str) -> Result<DatasetKind, String> {
-    match raw.to_ascii_lowercase().as_str() {
-        "mnist" => Ok(DatasetKind::Mnist),
-        "cifar10" | "cifar-10" | "cifar" => Ok(DatasetKind::Cifar10),
-        "imdb" => Ok(DatasetKind::Imdb),
-        other => Err(format!("unknown dataset `{other}` (mnist|cifar10|imdb)")),
-    }
-}
-
+/// The `--scale` flag: [`Scale::parse`], defaulting to Tiny.
 pub(crate) fn parse_scale(raw: Option<&str>) -> Result<Scale, String> {
-    match raw.map(str::to_ascii_lowercase).as_deref() {
-        None | Some("tiny") => Ok(Scale::Tiny),
-        Some("small") => Ok(Scale::Small),
-        Some("paper") => Ok(Scale::Paper),
-        Some(other) => Err(format!("unknown scale `{other}` (tiny|small|paper)")),
-    }
+    raw.map_or(Ok(Scale::Tiny), |s| {
+        Scale::parse(s).ok_or_else(|| format!("unknown scale `{s}` (tiny|small|paper)"))
+    })
 }
 
 pub(crate) fn parse_dtype(raw: Option<&str>) -> Result<dlbench_serve::ModelDtype, String> {
@@ -214,14 +194,14 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
 fn cell_from_args(
     args: &ParsedArgs,
 ) -> Result<(FrameworkKind, DefaultSetting, DatasetKind), String> {
-    let host = parse_framework(args.get("framework").unwrap_or("tf"))?;
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
+    let host = FrameworkKind::parse(args.get("framework").unwrap_or("tf"))?;
+    let dataset = DatasetKind::parse(args.get("dataset").unwrap_or("mnist"))?;
     let owner = match args.get("setting-owner") {
-        Some(raw) => parse_framework(raw)?,
+        Some(raw) => FrameworkKind::parse(raw)?,
         None => host,
     };
     let tuned_for = match args.get("setting-dataset") {
-        Some(raw) => parse_dataset(raw)?,
+        Some(raw) => DatasetKind::parse(raw)?,
         None => dataset,
     };
     Ok((host, DefaultSetting::new(owner, tuned_for), dataset))
@@ -625,7 +605,7 @@ pub fn ablate(args: &ParsedArgs) -> Result<(), String> {
 
 /// `dlbench stats`
 pub fn stats(args: &ParsedArgs) -> Result<(), String> {
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
+    let dataset = DatasetKind::parse(args.get("dataset").unwrap_or("mnist"))?;
     let size = args.get_parsed("size", dataset.native_size())?;
     let samples = args.get_parsed("samples", 512usize)?;
     let seed = args.get_parsed("seed", 42u64)?;
@@ -687,8 +667,8 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
                 format!("model spec `{raw}` must be NAME=FRAMEWORK:DATASET[:CHECKPOINT]")
             })?;
             let mut parts = rest.splitn(3, ':');
-            let host = parse_framework(parts.next().unwrap_or(""))?;
-            let dataset = parse_dataset(
+            let host = FrameworkKind::parse(parts.next().unwrap_or(""))?;
+            let dataset = DatasetKind::parse(
                 parts.next().ok_or_else(|| format!("model spec `{raw}` missing dataset"))?,
             )?;
             let checkpoint = parts.next().map(std::path::Path::new);
@@ -748,7 +728,7 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
     let addr: std::net::SocketAddr =
         url.parse().map_err(|_| format!("bad --url `{url}` (expected HOST:PORT)"))?;
     let model = args.get("model").unwrap_or("default");
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
+    let dataset = DatasetKind::parse(args.get("dataset").unwrap_or("mnist"))?;
     let requests = args.get_parsed("requests", 64usize)?;
     let mode = match args.get("mode").unwrap_or("closed") {
         "closed" => LoadMode::Closed { concurrency: args.get_parsed("concurrency", 4usize)? },
@@ -801,8 +781,8 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
         other => return Err(format!("unknown --autoscale `{other}` (both|on|off)")),
     };
     let mut base = SimFleetConfig::new(0.0, args.get_parsed("requests", 2_000usize)?);
-    base.host = parse_framework(args.get("framework").unwrap_or("tf"))?;
-    base.dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
+    base.host = FrameworkKind::parse(args.get("framework").unwrap_or("tf"))?;
+    base.dataset = DatasetKind::parse(args.get("dataset").unwrap_or("mnist"))?;
     base.scale = parse_scale(args.get("scale"))?;
     base.seed = args.get_parsed("seed", 42u64)?;
     base.replicas = args.get_parsed("replicas", 2usize)?.max(1);
@@ -1046,7 +1026,7 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
     let scale = parse_scale(args.get("scale"))?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
+    let dataset = DatasetKind::parse(args.get("dataset").unwrap_or("mnist"))?;
     let out = args.get("trace").unwrap_or("target/dlbench-reports/TRACE_profile.json").to_string();
     let out_dir = args.get("out").unwrap_or("target/dlbench-reports").to_string();
     let mut doc = ChromeTraceDoc::new();
@@ -1313,83 +1293,6 @@ pub fn dist_train(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Executes a spec's serve cells against the real HTTP tier: the
-/// model serves on an ephemeral port, the open-loop generator drives
-/// it, and the load report becomes the cell result.
-struct CliServeBackend;
-
-impl dlbench_core::ServeBackend for CliServeBackend {
-    fn run_serve(
-        &self,
-        cell: &dlbench_core::spec::ServeCellSpec,
-    ) -> Result<dlbench_json::JsonValue, String> {
-        use dlbench_serve::loadgen::{self, LoadConfig, LoadMode};
-        use dlbench_serve::{BatchConfig, ModelRegistry, ModelSpec};
-        let dtype = dlbench_serve::ModelDtype::parse(&cell.quantize)
-            .ok_or_else(|| format!("unknown quantize mode `{}` (fp32|int8)", cell.quantize))?;
-        let spec =
-            ModelSpec::own_default("default", cell.host, cell.dataset, cell.scale, cell.seed)
-                .with_dtype(dtype);
-        let served = spec.instantiate(None).map_err(|e| e.to_string())?;
-        let calibration = served.model.calibration_json();
-        let config = BatchConfig {
-            max_batch: cell.max_batch,
-            max_wait: std::time::Duration::from_millis(cell.deadline_ms.round() as u64),
-            ..BatchConfig::default()
-        };
-        let mut registry = ModelRegistry::new();
-        registry.register(served, config).map_err(|e| e.to_string())?;
-        let server = dlbench_serve::serve(registry, "127.0.0.1:0")
-            .map_err(|e| format!("cannot bind an ephemeral port: {e}"))?;
-        let inputs = loadgen::sample_inputs(cell.dataset, cell.scale, cell.seed, 16);
-        let report = loadgen::run(
-            server.addr(),
-            "default",
-            &inputs,
-            &LoadConfig {
-                mode: LoadMode::Open { rate_rps: cell.rate_rps },
-                requests: cell.requests,
-            },
-        );
-        server.shutdown();
-        // Lead the result with the model facts the load report cannot
-        // know: the serving dtype and (for int8) the calibration stats.
-        let mut members = vec![("dtype".to_string(), dlbench_json::JsonValue::from(dtype.name()))];
-        if let Some(stats) = calibration {
-            members.push(("calibration".to_string(), stats));
-        }
-        if let dlbench_json::JsonValue::Object(rest) = report.to_json() {
-            members.extend(rest);
-        }
-        Ok(dlbench_json::JsonValue::Object(members))
-    }
-}
-
-/// Executes a spec's fleet cells through the simtime fleet simulator:
-/// pure sim-time, so cached and fresh results agree byte-for-byte.
-struct CliFleetBackend;
-
-impl dlbench_core::FleetBackend for CliFleetBackend {
-    fn run_fleet(
-        &self,
-        cell: &dlbench_core::spec::FleetCellSpec,
-    ) -> Result<dlbench_json::JsonValue, String> {
-        use dlbench_json::ToJson;
-        let mut cfg = dlbench_fleet::SimFleetConfig::new(cell.rate_rps, cell.requests);
-        cfg.host = cell.host;
-        cfg.dataset = cell.dataset;
-        cfg.scale = cell.scale;
-        cfg.seed = cell.seed;
-        cfg.policy = parse_routing(&cell.routing)?;
-        cfg.replicas = cell.replicas;
-        cfg.max_batch = cell.max_batch;
-        cfg.target_p99_ms = cell.target_p99_ms;
-        cfg.dtype = dlbench_serve::ModelDtype::parse(&cell.quantize)
-            .ok_or_else(|| format!("unknown quantize mode `{}` (fp32|int8)", cell.quantize))?;
-        Ok(dlbench_fleet::simulate_fleet(&cfg).to_json())
-    }
-}
-
 /// `dlbench run-spec`
 pub fn run_spec(args: &ParsedArgs) -> Result<(), String> {
     use dlbench_core::spec::{self, RunOptions};
@@ -1407,7 +1310,12 @@ pub fn run_spec(args: &ParsedArgs) -> Result<(), String> {
     let cache_dir = args.get("cache-dir").unwrap_or("target/dlbench-cache");
     let opts = RunOptions { cache_dir: cache_dir.into(), force: args.flag("force") };
     let trace = trace_start(args);
-    let run = spec::run_plan(&plan, &opts, Some(&CliServeBackend), Some(&CliFleetBackend))?;
+    let run = spec::run_plan(
+        &plan,
+        &opts,
+        Some(&dlbench_serve::HttpServeBackend),
+        Some(&dlbench_fleet::SimFleetBackend),
+    )?;
     trace_finish(trace)?;
     for report in spec::aggregate_reports(&run) {
         println!("{}", report.render());
@@ -1431,20 +1339,41 @@ pub fn run_spec(args: &ParsedArgs) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn cli(line: &str) -> ParsedArgs {
+        crate::args::parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>()).unwrap()
+    }
+
     #[test]
     fn framework_parsing() {
-        assert_eq!(parse_framework("tf").unwrap(), FrameworkKind::TensorFlow);
-        assert_eq!(parse_framework("TensorFlow").unwrap(), FrameworkKind::TensorFlow);
-        assert_eq!(parse_framework("caffe").unwrap(), FrameworkKind::Caffe);
-        assert_eq!(parse_framework("Torch").unwrap(), FrameworkKind::Torch);
-        assert!(parse_framework("mxnet").is_err());
+        for (raw, fw) in [
+            ("tf", FrameworkKind::TensorFlow),
+            ("TensorFlow", FrameworkKind::TensorFlow),
+            ("caffe", FrameworkKind::Caffe),
+            ("Torch", FrameworkKind::Torch),
+        ] {
+            let (host, setting, _) =
+                cell_from_args(&cli(&format!("train --framework {raw} --setting-owner {raw}")))
+                    .unwrap();
+            assert_eq!((host, setting.owner), (fw, fw), "{raw}");
+        }
+        let err = cell_from_args(&cli("train --framework mxnet")).unwrap_err();
+        assert!(err.contains("unknown framework `mxnet`"), "{err}");
     }
 
     #[test]
     fn dataset_parsing() {
-        assert_eq!(parse_dataset("mnist").unwrap(), DatasetKind::Mnist);
-        assert_eq!(parse_dataset("CIFAR-10").unwrap(), DatasetKind::Cifar10);
-        assert!(parse_dataset("imagenet").is_err());
+        for (raw, ds) in [
+            ("mnist", DatasetKind::Mnist),
+            ("CIFAR-10", DatasetKind::Cifar10),
+            ("cifar", DatasetKind::Cifar10),
+            ("imdb", DatasetKind::Imdb),
+        ] {
+            let (_, setting, dataset) =
+                cell_from_args(&cli(&format!("train --dataset {raw} --setting-dataset {raw}")))
+                    .unwrap();
+            assert_eq!((dataset, setting.tuned_for), (ds, ds), "{raw}");
+        }
+        assert!(cell_from_args(&cli("train --dataset imagenet")).is_err());
     }
 
     #[test]

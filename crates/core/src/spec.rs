@@ -579,9 +579,6 @@ pub struct FleetCellSpec {
     pub quantize: String,
 }
 
-/// Canonicalizes a routing-policy spelling. Mirrors
-/// `dlbench_fleet::RoutingPolicy::parse` (core cannot call it);
-/// `tests/tests/spec.rs` pins the two lists together.
 /// Canonicalizes a serving-dtype spelling. Mirrors
 /// `dlbench_serve::ModelDtype::parse` (core cannot call it);
 /// `tests/tests/spec.rs` pins the two lists together.
@@ -593,6 +590,9 @@ fn canonical_quantize(s: &str) -> Result<&'static str, String> {
     }
 }
 
+/// Canonicalizes a routing-policy spelling. Mirrors
+/// `dlbench_fleet::RoutingPolicy::parse` (core cannot call it);
+/// `tests/tests/spec.rs` pins the two lists together.
 fn canonical_routing(s: &str) -> Result<&'static str, String> {
     match s.to_ascii_lowercase().as_str() {
         "rr" | "round-robin" | "roundrobin" => Ok("rr"),
@@ -617,29 +617,11 @@ pub enum CellPayload {
     Fleet(FleetCellSpec),
 }
 
-fn parse_framework(s: &str) -> Result<FrameworkKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "tf" | "tensorflow" => Ok(FrameworkKind::TensorFlow),
-        "caffe" => Ok(FrameworkKind::Caffe),
-        "torch" => Ok(FrameworkKind::Torch),
-        other => Err(format!("unknown framework `{other}` (expected tf|caffe|torch)")),
-    }
-}
-
 fn framework_name(fw: FrameworkKind) -> &'static str {
     match fw {
         FrameworkKind::TensorFlow => "tf",
         FrameworkKind::Caffe => "caffe",
         FrameworkKind::Torch => "torch",
-    }
-}
-
-fn parse_dataset(s: &str) -> Result<DatasetKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "mnist" => Ok(DatasetKind::Mnist),
-        "cifar10" | "cifar-10" => Ok(DatasetKind::Cifar10),
-        "imdb" => Ok(DatasetKind::Imdb),
-        other => Err(format!("unknown dataset `{other}` (expected mnist|cifar10|imdb)")),
     }
 }
 
@@ -697,8 +679,8 @@ impl<'a> Params<'a> {
 /// hash covers.
 fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<PlanCell, String> {
     let p = Params(&params);
-    let host = parse_framework(p.require("framework")?)?;
-    let dataset = parse_dataset(p.require("dataset")?)?;
+    let host = FrameworkKind::parse(p.require("framework")?)?;
+    let dataset = DatasetKind::parse(p.require("dataset")?)?;
     let scale = match p.get("scale") {
         None => Scale::Tiny,
         Some(s) => Scale::parse(s).ok_or_else(|| format!("unknown scale `{s}`"))?,
@@ -716,11 +698,11 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
     let setting = |p: &Params| -> Result<DefaultSetting, String> {
         let owner = match p.get("setting_owner") {
             None => host,
-            Some(s) => parse_framework(s)?,
+            Some(s) => FrameworkKind::parse(s)?,
         };
         let tuned_for = match p.get("setting_dataset") {
             None => dataset,
-            Some(s) => parse_dataset(s)?,
+            Some(s) => DatasetKind::parse(s)?,
         };
         // Text and image settings take different input shapes (token
         // sequences vs pixel grids), so transplanting across the

@@ -19,6 +19,18 @@ pub enum DatasetKind {
 }
 
 impl DatasetKind {
+    /// Parses a dataset name case-insensitively (`mnist`,
+    /// `cifar10`/`cifar-10`/`cifar`, `imdb`) — the one spelling table
+    /// the CLI and run-spec files share.
+    pub fn parse(raw: &str) -> Result<DatasetKind, String> {
+        match raw.to_ascii_lowercase().as_str() {
+            "mnist" => Ok(DatasetKind::Mnist),
+            "cifar10" | "cifar-10" | "cifar" => Ok(DatasetKind::Cifar10),
+            "imdb" => Ok(DatasetKind::Imdb),
+            _ => Err(format!("unknown dataset `{raw}` (expected mnist|cifar10|imdb)")),
+        }
+    }
+
     /// Channel count of the reference data.
     pub fn channels(&self) -> usize {
         match self {
@@ -299,6 +311,21 @@ mod tests {
     fn toy_seq() -> Dataset {
         let tokens = Tensor::from_vec(&[2, 1, 3, 1], vec![0.0, 2.0, 1.0, 3.0, 3.0, 0.0]).unwrap();
         Dataset::sequences(DatasetKind::Imdb, tokens, vec![0, 1], 2, 4).unwrap()
+    }
+
+    #[test]
+    fn parse_accepts_every_spelling_case_insensitively() {
+        for (raw, ds) in [
+            ("mnist", DatasetKind::Mnist),
+            ("CIFAR-10", DatasetKind::Cifar10),
+            ("cifar10", DatasetKind::Cifar10),
+            ("cifar", DatasetKind::Cifar10),
+            ("IMDB", DatasetKind::Imdb),
+        ] {
+            assert_eq!(DatasetKind::parse(raw), Ok(ds), "{raw}");
+        }
+        let err = DatasetKind::parse("imagenet").unwrap_err();
+        assert!(err.contains("`imagenet`") && err.contains("mnist|cifar10|imdb"), "{err}");
     }
 
     #[test]

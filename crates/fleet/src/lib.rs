@@ -25,7 +25,8 @@
 //! * the **simulated fleet** ([`sim::simulate_fleet`]) swaps each
 //!   forward for its `dlbench-simtime` cost, so heavy-tailed open-loop
 //!   load can sweep arrival rates to millions-of-users scale in bounded
-//!   wall-clock (`BENCH_fleet.json`).
+//!   wall-clock (`BENCH_fleet.json`); [`SimFleetBackend`] runs run-spec
+//!   fleet cells on it.
 //!
 //! Determinism contract: predictions are bitwise identical across
 //! routing policy, replica count and scaling activity for a fixed model
@@ -53,4 +54,4 @@ pub use promote::{
 };
 pub use replica::Replica;
 pub use router::{ReplicaView, Router, RoutingPolicy};
-pub use sim::{fleet_sweep_doc, simulate_fleet, SimFleetConfig, SimFleetReport};
+pub use sim::{fleet_sweep_doc, simulate_fleet, SimFleetBackend, SimFleetConfig, SimFleetReport};

@@ -22,6 +22,18 @@ impl FrameworkKind {
     pub const ALL: [FrameworkKind; 3] =
         [FrameworkKind::TensorFlow, FrameworkKind::Caffe, FrameworkKind::Torch];
 
+    /// Parses a framework name case-insensitively (`tf`/`tensorflow`,
+    /// `caffe`, `torch`) — the one spelling table the CLI and run-spec
+    /// files share.
+    pub fn parse(raw: &str) -> Result<FrameworkKind, String> {
+        match raw.to_ascii_lowercase().as_str() {
+            "tf" | "tensorflow" => Ok(FrameworkKind::TensorFlow),
+            "caffe" => Ok(FrameworkKind::Caffe),
+            "torch" => Ok(FrameworkKind::Torch),
+            _ => Err(format!("unknown framework `{raw}` (expected tf|caffe|torch)")),
+        }
+    }
+
     /// Display name as used in the paper's tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -152,6 +164,20 @@ mod tests {
         assert_eq!(torch.version, "torch7");
         assert_eq!(torch.lines_of_code, 29_750);
         assert_eq!(torch.interfaces, "Lua");
+    }
+
+    #[test]
+    fn parse_accepts_every_spelling_case_insensitively() {
+        for (raw, fw) in [
+            ("tf", FrameworkKind::TensorFlow),
+            ("TensorFlow", FrameworkKind::TensorFlow),
+            ("caffe", FrameworkKind::Caffe),
+            ("Torch", FrameworkKind::Torch),
+        ] {
+            assert_eq!(FrameworkKind::parse(raw), Ok(fw), "{raw}");
+        }
+        let err = FrameworkKind::parse("mxnet").unwrap_err();
+        assert!(err.contains("`mxnet`") && err.contains("tf|caffe|torch"), "{err}");
     }
 
     #[test]

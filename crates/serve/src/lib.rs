@@ -24,7 +24,8 @@
 //!   `/metrics` endpoints. Overload sheds with `503` + `Retry-After`
 //!   (never a crash); shutdown drains in-flight requests.
 //! * [`loadgen`] drives a server closed-loop or open-loop (fixed arrival
-//!   rate) and reports client-side p50/p95/p99.
+//!   rate) and reports client-side p50/p95/p99; [`HttpServeBackend`]
+//!   runs run-spec serve cells that way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +38,7 @@ pub mod model;
 
 pub use batcher::{BatchConfig, MicroBatcher, Prediction};
 pub use http::{serve, RunningServer};
-pub use loadgen::{LoadConfig, LoadMode, LoadReport};
+pub use loadgen::{HttpServeBackend, LoadConfig, LoadMode, LoadReport};
 pub use metrics::ServeMetrics;
 pub use model::{ModelDtype, ModelRegistry, ModelSpec, ServedModel, ServingModel};
 

@@ -4,8 +4,9 @@
 //! the batch-deadline sweep behind `BENCH_serve.json`.
 
 use crate::batcher::BatchConfig;
-use crate::model::{ModelRegistry, ModelSpec};
+use crate::model::{ModelDtype, ModelRegistry, ModelSpec};
 use crate::ServeError;
+use dlbench_core::spec::ServeCellSpec;
 use dlbench_core::Histogram;
 use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, FrameworkKind, Scale};
@@ -253,6 +254,53 @@ pub fn sample_inputs(dataset: DatasetKind, scale: Scale, seed: u64, count: usize
     let (images, _) = test.gather(&idx);
     let sample_len = images.data().len() / n;
     images.data().chunks(sample_len).map(<[f32]>::to_vec).collect()
+}
+
+/// Executes a run-spec's serve cells against the real HTTP tier: the
+/// model serves on an ephemeral port, the open-loop generator drives
+/// it, and the load report becomes the cell result.
+pub struct HttpServeBackend;
+
+impl dlbench_core::ServeBackend for HttpServeBackend {
+    fn run_serve(&self, cell: &ServeCellSpec) -> Result<JsonValue, String> {
+        let dtype = ModelDtype::parse(&cell.quantize)
+            .ok_or_else(|| format!("unknown quantize mode `{}` (fp32|int8)", cell.quantize))?;
+        let spec =
+            ModelSpec::own_default("default", cell.host, cell.dataset, cell.scale, cell.seed)
+                .with_dtype(dtype);
+        let served = spec.instantiate(None).map_err(|e| e.to_string())?;
+        let calibration = served.model.calibration_json();
+        let config = BatchConfig {
+            max_batch: cell.max_batch,
+            max_wait: Duration::from_millis(cell.deadline_ms.round() as u64),
+            ..BatchConfig::default()
+        };
+        let mut registry = ModelRegistry::new();
+        registry.register(served, config).map_err(|e| e.to_string())?;
+        let server = crate::http::serve(registry, "127.0.0.1:0")
+            .map_err(|e| format!("cannot bind an ephemeral port: {e}"))?;
+        let inputs = sample_inputs(cell.dataset, cell.scale, cell.seed, 16);
+        let report = run(
+            server.addr(),
+            "default",
+            &inputs,
+            &LoadConfig {
+                mode: LoadMode::Open { rate_rps: cell.rate_rps },
+                requests: cell.requests,
+            },
+        );
+        server.shutdown();
+        // Lead the result with the model facts the load report cannot
+        // know: the serving dtype and (for int8) the calibration stats.
+        let mut members = vec![("dtype".to_string(), JsonValue::from(dtype.name()))];
+        if let Some(stats) = calibration {
+            members.push(("calibration".to_string(), stats));
+        }
+        if let JsonValue::Object(rest) = report.to_json() {
+            members.extend(rest);
+        }
+        Ok(JsonValue::Object(members))
+    }
 }
 
 /// Sweeps batch deadlines across the three framework personalities

@@ -32,11 +32,12 @@ impl ModelDtype {
         }
     }
 
-    /// Parses a dtype name case-insensitively.
+    /// Parses a dtype name case-insensitively (`fp32`/`f32`/`float32`,
+    /// `int8`/`i8`).
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "fp32" => Some(ModelDtype::Fp32),
-            "int8" => Some(ModelDtype::Int8),
+            "fp32" | "f32" | "float32" => Some(ModelDtype::Fp32),
+            "int8" | "i8" => Some(ModelDtype::Int8),
             _ => None,
         }
     }

@@ -31,8 +31,12 @@ cargo run -p dlbench-cli --release --locked -q -- profile --scale tiny \
     --trace target/dlbench-reports/TRACE_profile.json > /dev/null
 test -s target/dlbench-reports/TRACE_profile.json
 
-echo "==> trace overhead bench (tracing off vs on, BENCH_trace.json)"
-cargo bench --bench trace --locked -- --quick > /dev/null
+echo "==> bench smokes (quick, one BENCH_<name>.json each)"
+for bench in ablation attacks layers parallel trace serve; do
+    rm -f "target/dlbench-reports/BENCH_$bench.json"
+    cargo bench --bench "$bench" --locked -- --quick > /dev/null
+    test -s "target/dlbench-reports/BENCH_$bench.json"
+done
 
 echo "==> kernel perf gate (full timings vs committed baseline, >15% fails)"
 DLBENCH_PERF_BASELINE="$PWD/crates/bench/baselines/kernels.json" \
@@ -61,6 +65,9 @@ cargo run -p dlbench-cli --release --locked -q -- run-spec examples/specs/smoke.
 test -s target/dlbench-reports/BENCH_spec.json
 cargo test -p dlbench-integration-tests --test spec --locked -q
 rm -rf target/dlbench-check-cache
+
+echo "==> spec bench (18 fleet cells through the simulator backend)"
+cargo bench --bench spec --locked -- examples/specs/fleet_sweep.json | grep -q "^\[18 cells"
 
 echo "==> fleet smoke (2 replicas, live promotion under load, zero errored requests)"
 cargo run -p dlbench-cli --release --locked -q -- fleet --replicas 2 \

@@ -237,28 +237,76 @@ fn spec_routing_aliases_stay_in_sync_with_the_fleet_crate() {
 }
 
 #[test]
-fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
-    use dlbench_core::spec::{CellPayload, FleetCellSpec};
-    use dlbench_core::FleetBackend;
-    use dlbench_fleet::{simulate_fleet, RoutingPolicy, SimFleetConfig};
-    use dlbench_json::ToJson;
+fn framework_and_dataset_spellings_match_the_cli() {
+    use dlbench_data::DatasetKind;
+    use dlbench_frameworks::FrameworkKind;
 
-    struct SimBackend;
-    impl FleetBackend for SimBackend {
-        fn run_fleet(&self, cell: &FleetCellSpec) -> Result<dlbench_json::JsonValue, String> {
-            let mut cfg = SimFleetConfig::new(cell.rate_rps, cell.requests);
-            cfg.host = cell.host;
-            cfg.dataset = cell.dataset;
-            cfg.scale = cell.scale;
-            cfg.seed = cell.seed;
-            cfg.replicas = cell.replicas;
-            cfg.max_batch = cell.max_batch;
-            cfg.target_p99_ms = cell.target_p99_ms;
-            cfg.policy = RoutingPolicy::parse(&cell.routing)
-                .ok_or_else(|| format!("bad routing {}", cell.routing))?;
-            Ok(simulate_fleet(&cfg).to_json())
-        }
+    // The CLI flags and spec files share one spelling table per kind;
+    // every CLI spelling must expand to the canonical spec parameter.
+    let cases = [
+        ("framework", "tf", "tf"),
+        ("framework", "TensorFlow", "tf"),
+        ("framework", "Caffe", "caffe"),
+        ("framework", "torch", "torch"),
+        ("dataset", "mnist", "mnist"),
+        ("dataset", "cifar", "cifar10"),
+        ("dataset", "CIFAR-10", "cifar10"),
+        ("dataset", "imdb", "imdb"),
+    ];
+    for (key, alias, canonical) in cases {
+        let text = format!(
+            r#"{{
+                "name": "it-{key}-aliases",
+                "defaults": {{"scale": "tiny", "seed": {TEST_SEED},
+                             "framework": "tf", "dataset": "mnist", "device": "cpu"}},
+                "grids": [{{"kind": "train", "axes": {{"{key}": ["{alias}"]}}}}]
+            }}"#
+        );
+        let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
+        assert_eq!(plan.cells[0].params[key], canonical, "spec canonicalized `{alias}`");
+        let cli_ok = match key {
+            "framework" => FrameworkKind::parse(alias).is_ok(),
+            _ => DatasetKind::parse(alias).is_ok(),
+        };
+        assert!(cli_ok, "CLI rejects `--{key} {alias}`");
     }
+}
+
+#[test]
+fn shipped_text_sweep_serve_cells_run_through_the_http_backend() {
+    use dlbench_serve::HttpServeBackend;
+
+    let text = std::fs::read_to_string(repo_path("../examples/specs/text_sweep.json"))
+        .expect("shipped text sweep readable");
+    let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
+    // One personality's text cells, fp32 and int8, on the real HTTP tier.
+    let cells: Vec<_> = plan
+        .cells
+        .iter()
+        .filter(|c| c.params["framework"] == "torch" && c.params["dataset"] == "imdb")
+        .cloned()
+        .collect();
+    assert_eq!(cells.len(), 2);
+    let slice = dlbench_core::Plan { name: plan.name.clone(), cells };
+    let cache = ScratchCache::new("serve");
+    let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
+    let run = spec::run_plan(&slice, &opts, Some(&HttpServeBackend), None).unwrap();
+    assert_eq!(run.executed, 2);
+    for cell in &run.cells {
+        let field = |k: &str| cell.result.get(k).and_then(|v| v.as_f64());
+        assert_eq!(
+            cell.result.get("dtype").and_then(|v| v.as_str()),
+            Some(cell.params["quantize"].as_str())
+        );
+        assert_eq!(field("sent"), Some(64.0), "{}", cell.label);
+        assert_eq!(field("errors"), Some(0.0), "{}", cell.label);
+    }
+}
+
+#[test]
+fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
+    use dlbench_core::spec::CellPayload;
+    use dlbench_fleet::SimFleetBackend;
 
     let text = std::fs::read_to_string(repo_path("../examples/specs/fleet_sweep.json"))
         .expect("shipped fleet spec readable");
@@ -271,7 +319,7 @@ fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
     let cache = ScratchCache::new("fleet");
     let slice = dlbench_core::Plan { name: plan.name.clone(), cells: plan.cells[..2].to_vec() };
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let run = spec::run_plan(&slice, &opts, None, Some(&SimBackend)).unwrap();
+    let run = spec::run_plan(&slice, &opts, None, Some(&SimFleetBackend)).unwrap();
     assert_eq!(run.executed, 2);
     for cell in &run.cells {
         for key in ["completed", "shed_rate", "slo_burn", "latency_ms"] {
@@ -279,7 +327,7 @@ fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
         }
     }
     // Cached resume: byte-identical document without re-execution.
-    let again = spec::run_plan(&slice, &opts, None, Some(&SimBackend)).unwrap();
+    let again = spec::run_plan(&slice, &opts, None, Some(&SimFleetBackend)).unwrap();
     assert_eq!(again.executed, 0);
     assert_eq!(spec::document(&run).pretty(), spec::document(&again).pretty());
 }
@@ -337,8 +385,14 @@ fn quantize_axis_expands_on_serve_and_fleet_grids() {
         );
     }
 
-    // Alias spellings canonicalize rather than multiply cells.
+    // Alias spellings canonicalize rather than multiply cells, and the
+    // CLI's `--quantize` parser accepts every one of them too.
     for (alias, canonical) in [("f32", "fp32"), ("float32", "fp32"), ("i8", "int8")] {
+        assert_eq!(
+            ModelDtype::parse(alias).map(|d| d.name()),
+            Some(canonical),
+            "serve crate parses `{alias}` differently"
+        );
         let text = format!(
             r#"{{
                 "name": "it-quantize-alias",
