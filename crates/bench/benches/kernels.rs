@@ -4,8 +4,9 @@
 //! binary itself enforces the regression gate: measures the four GEMM
 //! variants, the int8 inference kernels (`gemm_i8`, `quantize_i8`,
 //! `dequantize_i8`), `im2col`, the convolution forward of every
-//! personality conv layer in fp32 and int8, and the text-workload layers
-//! (embedding lookup, 3/4/5-width conv1d banks in fp32 and int8), writes
+//! personality conv layer in fp32 and int8 and its fp32 backward, and
+//! the text-workload layers (embedding lookup, 3/4/5-width conv1d banks
+//! forward in fp32 and int8 and backward in fp32), writes
 //! `target/dlbench-reports/BENCH_kernels.json`, and — when
 //! `DLBENCH_PERF_BASELINE` points at a committed baseline JSON — exits
 //! non-zero if any kernel runs >15% slower than the baseline
@@ -155,7 +156,9 @@ const ACT_SCALE: f32 = 8.0 / 255.0;
 
 /// Forward of every personality conv layer at paper scale (batch 2),
 /// through the real `Conv2d` and `QConv2d` layers so the fused paths,
-/// their packing and the arena are all on the measured path.
+/// their packing and the arena are all on the measured path, and the
+/// fp32 layer's backward (input, weight and bias gradients: twice the
+/// forward's FLOPs).
 fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
     use dlbench_data::DatasetKind;
     const BATCH: usize = 2;
@@ -184,6 +187,11 @@ fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
                 });
                 let q = QConv2d::from_fp32(&conv, ACT_SCALE, 0);
                 h.bench(format!("qconv_fwd/{}/conv{}", spec.name, i + 1), flops, || q.forward(&x));
+                let g = Tensor::randn(&conv.output_shape(x.shape()), 0.0, 1.0, rng);
+                conv.forward(&x, true);
+                h.bench(format!("conv_bwd/{}/conv{}", spec.name, i + 1), 2 * flops, || {
+                    conv.backward(&g)
+                });
             }
         }
     }
@@ -191,8 +199,9 @@ fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
 
 /// The text-workload layers at their personality shapes (batch 2,
 /// native 256-token sequences): the embedding lookup is pure data
-/// movement (gather), the 3/4/5-width conv bank rides the packed
-/// im2col+GEMM path — together they are the text forward's hot loop.
+/// movement (gather), the 3/4/5-width conv bank rides the fused
+/// convolution — together they are the text forward's hot loop — and
+/// the bank's backward is the text training step's.
 fn bench_text_layers(h: &mut Harness, rng: &mut SeededRng) {
     const BATCH: usize = 2;
     let len = dlbench_data::DatasetKind::Imdb.native_size();
@@ -218,6 +227,9 @@ fn bench_text_layers(h: &mut Harness, rng: &mut SeededRng) {
         h.bench(format!("conv1d_fwd/{name}"), flops, || bank.forward(&embedded, false));
         let q = QConv1dBank::from_fp32(&bank, ACT_SCALE, 0);
         h.bench(format!("qconv1d_fwd/{name}"), flops, || q.forward(&embedded));
+        let g = Tensor::randn(&[BATCH, bank.out_features()], 0.0, 1.0, rng);
+        bank.forward(&embedded, true);
+        h.bench(format!("conv1d_bwd/{name}"), 2 * flops, || bank.backward(&g));
     }
 }
 

@@ -986,6 +986,31 @@ fn check_layer_coverage(
     }
 }
 
+/// Each named kernel must have produced spans, and every one of them
+/// must carry its FLOPs, or the profile's GFLOP/s join is empty.
+/// Returns the span counts, e.g. `"12 gemm_i8 + 4 qconv_fused"`.
+fn check_kernel_spans(events: &[dlbench_trace::Event], kernels: &[&str]) -> Result<String, String> {
+    let mut counts = Vec::new();
+    for &kernel in kernels {
+        let flops: Vec<u64> = events
+            .iter()
+            .filter(|e| e.name.as_ref() == kernel)
+            .filter_map(|e| match e.kind {
+                dlbench_trace::EventKind::Span { flops, .. } => Some(flops),
+                _ => None,
+            })
+            .collect();
+        if flops.is_empty() {
+            return Err(format!("produced no {kernel} spans"));
+        }
+        if flops.contains(&0) {
+            return Err(format!("has a {kernel} span carrying zero FLOPs"));
+        }
+        counts.push(format!("{} {kernel}", flops.len()));
+    }
+    Ok(counts.join(" + "))
+}
+
 /// Structural checks on a distributed-training trace: the collective's
 /// spans must be present and `broadcast` must sit inside `allreduce`
 /// (same-thread nesting is already proven by [`validate_trace`]; this
@@ -1041,6 +1066,10 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
         validate_trace(&events).map_err(|e| format!("{label}: {e}"))?;
         let layers = check_layer_coverage(&events, host, &setting, dataset, scale, seed)
             .map_err(|e| format!("{label}: {e}"))?;
+        // Every personality trains convolutions: the fused backward's two
+        // kernels must show up with their FLOPs.
+        check_kernel_spans(&events, &["conv_bwd_data", "conv_bwd_filter"])
+            .map_err(|e| format!("{label}: training {e}"))?;
         // Efficiency is judged against what the simtime model says this
         // personality should extract from the CPU reference device.
         let reference =
@@ -1128,30 +1157,13 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
         let events = dlbench_trace::take_events();
         dlbench_trace::configure(TraceConfig::Off);
         // The two int8 kernels: `gemm_i8` behind QLinear and the fused
-        // int8 conv behind QConv2d. Each must show up, and every span
-        // must carry its FLOPs or the profile's GFLOP/s join is empty.
-        let mut counts = Vec::new();
-        for kernel in ["gemm_i8", "qconv_fused"] {
-            let flops: Vec<u64> = events
-                .iter()
-                .filter(|e| e.name.as_ref() == kernel)
-                .filter_map(|e| match e.kind {
-                    dlbench_trace::EventKind::Span { flops, .. } => Some(flops),
-                    _ => None,
-                })
-                .collect();
-            if flops.is_empty() {
-                return Err(format!("{label}: quantized forward produced no {kernel} spans"));
-            }
-            if flops.contains(&0) {
-                return Err(format!("{label}: a {kernel} span carries zero FLOPs"));
-            }
-            counts.push(format!("{} {kernel}", flops.len()));
-        }
+        // int8 conv behind QConv2d.
+        let counts = check_kernel_spans(&events, &["gemm_i8", "qconv_fused"])
+            .map_err(|e| format!("{label}: quantized forward {e}"))?;
         println!("== {label} ==");
         println!(
             "{} spans over a {}-sample int8 forward ({} of {} layers quantized)",
-            counts.join(" + "),
+            counts,
             idx.len(),
             qnet.num_quantized(),
             qnet.len()
@@ -1341,6 +1353,29 @@ mod tests {
 
     fn cli(line: &str) -> ParsedArgs {
         crate::args::parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn kernel_span_check_rejects_missing_and_zero_flop_spans() {
+        use dlbench_trace::{Category, Event, EventKind};
+        let span = |name: &'static str, flops| Event {
+            name: name.into(),
+            cat: Category::Kernel,
+            tid: 1,
+            seq: 0,
+            kind: EventKind::Span { start_ns: 0, dur_ns: 1, depth: 0, flops },
+        };
+        let kernels = ["conv_bwd_data", "conv_bwd_filter"];
+        let events = [span("conv_bwd_data", 8), span("conv_bwd_filter", 8), span("gemm", 0)];
+        assert_eq!(
+            check_kernel_spans(&events, &kernels).unwrap(),
+            "1 conv_bwd_data + 1 conv_bwd_filter"
+        );
+        let err = check_kernel_spans(&events[..1], &kernels).unwrap_err();
+        assert!(err.contains("no conv_bwd_filter spans"), "{err}");
+        let events = [span("conv_bwd_data", 8), span("conv_bwd_filter", 0)];
+        let err = check_kernel_spans(&events, &kernels).unwrap_err();
+        assert!(err.contains("conv_bwd_filter span carrying zero FLOPs"), "{err}");
     }
 
     #[test]

@@ -4,21 +4,22 @@ use crate::init::Initializer;
 use crate::layer::{Layer, ParamKind, ParamSet};
 use crate::profile::LayerCost;
 use dlbench_tensor::{
-    arena, col2im, conv_forward_fused, gemm, gemm_a_bt, gemm_at_b, im2col, par, Conv2dGeometry,
-    PackedConvWeight, Tensor,
+    arena, conv_backward_data, conv_backward_filter, conv_forward_fused, gemm, im2col, par,
+    Conv2dGeometry, ConvBackward, PackedConvWeight, Tensor,
 };
 
 /// A 2-D convolution over `[N, C, H, W]` inputs with square kernels,
 /// uniform stride and symmetric zero padding.
 ///
-/// Forward runs the fused im2col+GEMM kernel
-/// ([`dlbench_tensor::conv_forward_fused`]): weights are packed once
-/// per call and patch tiles are formed on the fly, never materializing
-/// the column matrix. The result is bitwise identical to the
-/// materialized lowering (kept as [`Conv2d::forward_materialized`] and
-/// pinned by the transparency tests). Backward uses the transposed
-/// GEMMs plus `col2im`. Weight layout matches Caffe:
-/// `[out_c, in_c, kh, kw]`.
+/// Forward and backward run the fused kernels of
+/// [`dlbench_tensor::conv_forward_fused`] and
+/// [`dlbench_tensor::conv_backward_data`]/[`conv_backward_filter`](dlbench_tensor::conv_backward_filter):
+/// weights are packed once per call and patch values are read straight
+/// from the image, never materializing the column matrix. The results
+/// are bitwise identical to the materialized lowering (the forward's is
+/// kept as [`Conv2d::forward_materialized`]; the transparency tests in
+/// `tests/tests/kernels.rs` pin both directions). Weight layout matches
+/// Caffe: `[out_c, in_c, kh, kw]`.
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
@@ -168,152 +169,27 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         assert_eq!(input.rank(), 4, "Conv2d expects [N, C, H, W]");
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
+        let (c, h, w) = (input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!(c, self.in_channels, "channel mismatch");
         let geo = self.geometry(h, w);
-        let (oh, ow) = (geo.out_h(), geo.out_w());
-        let plane = oh * ow;
-        let patch = geo.patch_len();
-        let sample_in = c * h * w;
-        let sample_out = self.out_channels * plane;
-
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let out_channels = self.out_channels;
-        // One Kernel span on the caller thread for the whole fused
-        // batch, carrying the joined FLOP count so `dlbench profile`
-        // reports achieved GFLOP/s for the fused kernel.
-        let flops = 2 * (n * out_channels * patch * plane) as u64;
-        let _span = dlbench_trace::span_flops(dlbench_trace::Category::Kernel, "conv_fused", flops);
-        // Weights pack once per call into the GEMM panel layout and are
-        // shared read-only across samples and workers; each sample then
-        // runs the fused kernel, which forms its patch tiles on the fly.
-        // Samples are independent, so the batch parallelizes over
-        // disjoint per-sample output rows, and the per-sample math is
-        // exactly the serial kernel — bitwise, at any thread count.
-        let packed = PackedConvWeight::pack(out_channels, patch, self.weight.data());
-        let bias = self.bias.data();
-        let in_data = input.data();
-        let per_sample = |first: usize, out_chunk: &mut [f32]| {
-            for (si, out_s) in out_chunk.chunks_mut(sample_out).enumerate() {
-                let s = first + si;
-                // out[oc, plane] = W[oc, patch] @ cols[patch, plane] + bias
-                for oc in 0..out_channels {
-                    out_s[oc * plane..(oc + 1) * plane].fill(bias[oc]);
-                }
-                conv_forward_fused(
-                    &geo,
-                    &packed,
-                    &in_data[s * sample_in..(s + 1) * sample_in],
-                    out_s,
-                );
-            }
-        };
-        if n * out_channels * patch * plane < par::PAR_MIN_WORK {
-            per_sample(0, out.data_mut());
-        } else {
-            par::par_row_chunks_mut(out.data_mut(), sample_out, per_sample);
-        }
+        let out = conv_forward(&geo, &self.weight, &self.bias, input, "conv_fused");
         self.cached_input = Some(input.clone());
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("backward before forward");
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let geo = self.geometry(h, w);
-        let (oh, ow) = (geo.out_h(), geo.out_w());
-        let plane = oh * ow;
-        let patch = geo.patch_len();
-        let sample_in = c * h * w;
-        let sample_out = self.out_channels * plane;
-        assert_eq!(grad_out.shape(), &[n, self.out_channels, oh, ow], "grad shape mismatch");
-
-        let mut grad_in = Tensor::zeros(input.shape());
-        let out_channels = self.out_channels;
-        let weight = self.weight.data();
-        let in_data = input.data();
-        let gout = grad_out.data();
-        let work = n * out_channels * patch * plane;
-
-        // Input gradient: per-sample scatter targets are disjoint, so
-        // the batch parallelizes directly over grad_in's sample rows.
-        let input_grad = |first: usize, gin_chunk: &mut [f32]| {
-            let mut cols_grad = arena::take(patch * plane);
-            for (si, gin_s) in gin_chunk.chunks_mut(sample_in).enumerate() {
-                let s = first + si;
-                let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
-                // cols_grad = W^T @ gOut, then col2im scatter.
-                cols_grad.iter_mut().for_each(|v| *v = 0.0);
-                gemm_at_b(patch, out_channels, plane, weight, gout_s, &mut cols_grad);
-                col2im(&geo, &cols_grad, gin_s);
-            }
-        };
-        if work < par::PAR_MIN_WORK {
-            input_grad(0, grad_in.data_mut());
-        } else {
-            par::par_row_chunks_mut(grad_in.data_mut(), sample_in, input_grad);
-        }
-
-        // Weight/bias gradients accumulate *across* samples. Both paths
-        // stage each sample's contribution in a zeroed scratch row and
-        // reduce in ascending sample order — the same additions, in the
-        // same order, regardless of thread count, hence bit-identical.
-        // (The serial path must stage too: the GEMM chains its terms
-        // directly into the destination, so folding sample s straight
-        // into `grad_weight` would interleave its terms with the
-        // running total instead of adding one per-sample partial.)
-        let wb = out_channels * patch + out_channels;
-        if work < par::PAR_MIN_WORK || par::is_worker() || par::threads() == 1 {
-            let mut cols = arena::take(patch * plane);
-            let mut row = arena::take(wb);
-            for s in 0..n {
-                let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
-                // Weight gradient: gW[oc, patch] += gOut[oc, plane] @ cols^T.
-                im2col(&geo, &in_data[s * sample_in..(s + 1) * sample_in], &mut cols);
-                row.fill(0.0);
-                let (w_part, b_part) = row.split_at_mut(out_channels * patch);
-                gemm_a_bt(out_channels, plane, patch, gout_s, &cols, w_part);
-                // Bias gradient: sum over the output plane.
-                for (oc, b) in b_part.iter_mut().enumerate() {
-                    *b = gout_s[oc * plane..(oc + 1) * plane].iter().sum::<f32>();
-                }
-                let gw = self.grad_weight.data_mut();
-                for (dst, src) in gw.iter_mut().zip(w_part.iter()) {
-                    *dst += src;
-                }
-                let gb = self.grad_bias.data_mut();
-                for (dst, src) in gb.iter_mut().zip(b_part.iter()) {
-                    *dst += src;
-                }
-            }
-        } else {
-            let mut scratch = arena::take_zeroed(n * wb);
-            par::par_row_chunks_mut(&mut scratch, wb, |first, rows_chunk| {
-                let mut cols = arena::take(patch * plane);
-                for (si, row) in rows_chunk.chunks_mut(wb).enumerate() {
-                    let s = first + si;
-                    let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
-                    im2col(&geo, &in_data[s * sample_in..(s + 1) * sample_in], &mut cols);
-                    let (w_part, b_part) = row.split_at_mut(out_channels * patch);
-                    gemm_a_bt(out_channels, plane, patch, gout_s, &cols, w_part);
-                    for (oc, b) in b_part.iter_mut().enumerate() {
-                        *b = gout_s[oc * plane..(oc + 1) * plane].iter().sum::<f32>();
-                    }
-                }
-            });
-            let gw = self.grad_weight.data_mut();
-            let gb = self.grad_bias.data_mut();
-            for row in scratch.chunks(wb) {
-                let (w_part, b_part) = row.split_at(out_channels * patch);
-                for (dst, src) in gw.iter_mut().zip(w_part) {
-                    *dst += src;
-                }
-                for (dst, src) in gb.iter_mut().zip(b_part) {
-                    *dst += src;
-                }
-            }
-        }
-        grad_in
+        let geo = self.geometry(input.shape()[2], input.shape()[3]);
+        let want = [input.shape()[0], self.out_channels, geo.out_h(), geo.out_w()];
+        assert_eq!(grad_out.shape(), &want, "grad shape mismatch");
+        conv_backward(
+            &geo,
+            &self.weight,
+            input,
+            grad_out,
+            &mut self.grad_weight,
+            &mut self.grad_bias,
+        )
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {
@@ -353,6 +229,135 @@ impl Layer for Conv2d {
             bwd_kernels: 4,
         }
     }
+}
+
+/// Convolution forward over a batch (`[N, …]` samples of geometry
+/// `geo`) through the fused kernel: returns `[N, out_c, out_h, out_w]`
+/// with each output plane seeded from its bias. Shared by [`Conv2d`] and
+/// [`crate::Conv1d`]; `span` names the Kernel span carrying the batch's
+/// FLOPs.
+pub(crate) fn conv_forward(
+    geo: &Conv2dGeometry,
+    weight: &Tensor,
+    bias: &Tensor,
+    input: &Tensor,
+    span: &'static str,
+) -> Tensor {
+    let n = input.shape()[0];
+    let (out_channels, patch, plane) = (weight.shape()[0], geo.patch_len(), geo.out_plane());
+    let sample_in = geo.in_channels * geo.in_h * geo.in_w;
+    let sample_out = out_channels * plane;
+    let mut out = Tensor::zeros(&[n, out_channels, geo.out_h(), geo.out_w()]);
+    // One Kernel span on the caller thread for the whole fused batch,
+    // carrying the joined FLOP count so `dlbench profile` reports
+    // achieved GFLOP/s for the fused kernel.
+    let work = n * out_channels * patch * plane;
+    let _span = dlbench_trace::span_flops(dlbench_trace::Category::Kernel, span, 2 * work as u64);
+    // Weights pack once per call and are shared read-only across
+    // samples and workers. Samples are independent, so the batch
+    // parallelizes over disjoint per-sample output rows, and the
+    // per-sample math is exactly the serial kernel — bitwise, at any
+    // thread count.
+    let packed = PackedConvWeight::pack(geo, out_channels, weight.data());
+    let (bias, in_data) = (bias.data(), input.data());
+    let per_sample = |first: usize, out_chunk: &mut [f32]| {
+        for (si, out_s) in out_chunk.chunks_mut(sample_out).enumerate() {
+            let s = first + si;
+            // out[oc, plane] = W[oc, patch] @ cols[patch, plane] + bias
+            for (plane_out, &b) in out_s.chunks_mut(plane).zip(bias) {
+                plane_out.fill(b);
+            }
+            conv_forward_fused(&packed, &in_data[s * sample_in..(s + 1) * sample_in], out_s);
+        }
+    };
+    if work < par::PAR_MIN_WORK {
+        per_sample(0, out.data_mut());
+    } else {
+        par::par_row_chunks_mut(out.data_mut(), sample_out, per_sample);
+    }
+    out
+}
+
+/// Convolution backward over a batch through the fused kernels: returns
+/// the input gradient and adds the weight and bias gradients into
+/// `grad_weight`/`grad_bias`. Shared by [`Conv2d`] and
+/// [`crate::Conv1d`].
+///
+/// Input gradients of different samples are disjoint, so the batch
+/// splits over samples directly. Weight/bias gradients accumulate
+/// *across* samples: each sample's partial is formed from zero in a
+/// staging row and the rows are added in ascending sample order — the
+/// same additions, in the same order, at any thread count, hence
+/// bit-identical. (The serial path stages too: folding sample `s`
+/// straight into `grad_weight` would interleave its terms with the
+/// running total instead of adding one per-sample partial.)
+pub(crate) fn conv_backward(
+    geo: &Conv2dGeometry,
+    weight: &Tensor,
+    input: &Tensor,
+    grad_out: &Tensor,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+) -> Tensor {
+    let n = input.shape()[0];
+    let (out_channels, patch, plane) = (weight.shape()[0], geo.patch_len(), geo.out_plane());
+    let sample_in = geo.in_channels * geo.in_h * geo.in_w;
+    let sample_out = out_channels * plane;
+    let backward = ConvBackward::new(geo, out_channels, weight.data());
+    let (in_data, gout) = (input.data(), grad_out.data());
+    // One staging row per sample: the weight partial, then the bias's.
+    let row_len = out_channels * patch + out_channels;
+    let sample = |s: usize, gin_s: &mut [f32], row: &mut [f32]| {
+        let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
+        conv_backward_data(&backward, gout_s, gin_s);
+        let (w_part, b_part) = row.split_at_mut(out_channels * patch);
+        conv_backward_filter(
+            &backward,
+            &in_data[s * sample_in..(s + 1) * sample_in],
+            gout_s,
+            w_part,
+        );
+        for (b, g) in b_part.iter_mut().zip(gout_s.chunks(plane)) {
+            *b = g.iter().sum::<f32>();
+        }
+    };
+    let mut add_partial = |row: &[f32]| {
+        let (w_part, b_part) = row.split_at(out_channels * patch);
+        for (dst, src) in grad_weight.data_mut().iter_mut().zip(w_part) {
+            *dst += src;
+        }
+        for (dst, src) in grad_bias.data_mut().iter_mut().zip(b_part) {
+            *dst += src;
+        }
+    };
+    let mut grad_in = Tensor::zeros(input.shape());
+    if n * out_channels * patch * plane < par::PAR_MIN_WORK
+        || par::is_worker()
+        || par::threads() == 1
+    {
+        let mut row = arena::take(row_len);
+        for (s, gin_s) in grad_in.data_mut().chunks_mut(sample_in).enumerate() {
+            sample(s, gin_s, &mut row);
+            add_partial(&row);
+        }
+    } else {
+        let mut rows = arena::take(n * row_len);
+        par::par_row_chunks2_mut(
+            grad_in.data_mut(),
+            sample_in,
+            &mut rows,
+            row_len,
+            |first, gin, rows| {
+                for (si, (gin_s, row)) in
+                    gin.chunks_mut(sample_in).zip(rows.chunks_mut(row_len)).enumerate()
+                {
+                    sample(first + si, gin_s, row);
+                }
+            },
+        );
+        rows.chunks(row_len).for_each(&mut add_partial);
+    }
+    grad_in
 }
 
 #[cfg(test)]

@@ -2,24 +2,22 @@
 //! sequences, max-over-time pooling, and the parallel-width bank that
 //! assembles them (Kim-style sentence CNN).
 
+use crate::conv::{conv_backward, conv_forward};
 use crate::init::Initializer;
 use crate::layer::{Layer, ParamKind, ParamSet};
 use crate::profile::LayerCost;
-use dlbench_tensor::{
-    arena, col2im, conv_forward_fused, gemm_a_bt, gemm_at_b, im2col, par, Conv2dGeometry,
-    PackedConvWeight, SeededRng, Tensor,
-};
+use dlbench_tensor::{Conv2dGeometry, SeededRng, Tensor};
 
 /// A 1-D convolution over `[N, 1, L, E]` embedded sequences: `filters`
 /// kernels of shape `[width, E]` slide over the L axis with stride 1
 /// and no padding, producing `[N, filters, L - width + 1, 1]`.
 ///
-/// The lowering is the 2-D fused im2col + GEMM path with a non-square
+/// The lowering is the 2-D fused convolution with a non-square
 /// `width x E` kernel whose horizontal extent covers the whole
-/// embedding axis (`out_w == 1`), so this layer inherits the packed
-/// kernels, the buffer arena and the fixed-reduction determinism
-/// contract of [`crate::Conv2d`] unchanged. Weight layout is
-/// `[filters, 1, width, E]`.
+/// embedding axis (`out_w == 1`): forward and backward are the very
+/// batch routines of [`crate::Conv2d`], so this layer inherits its
+/// fused kernels, the buffer arena and the fixed-reduction determinism
+/// contract unchanged. Weight layout is `[filters, 1, width, E]`.
 pub struct Conv1d {
     filters: usize,
     width: usize,
@@ -107,134 +105,28 @@ impl Layer for Conv1d {
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         assert_eq!(input.rank(), 4, "Conv1d expects [N, 1, L, E]");
-        let (n, c, l, e) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
+        let (c, l, e) = (input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!(c, 1, "Conv1d expects a single input channel");
         assert_eq!(e, self.embed_dim, "embedding-dimension mismatch");
         assert!(l >= self.width, "sequence shorter than kernel window");
-        let geo = self.geometry(l);
-        let plane = geo.out_plane();
-        let patch = geo.patch_len();
-        let sample_in = l * e;
-        let sample_out = self.filters * plane;
-
-        let mut out = Tensor::zeros(&[n, self.filters, plane, 1]);
-        let filters = self.filters;
-        let flops = 2 * (n * filters * patch * plane) as u64;
-        let _span =
-            dlbench_trace::span_flops(dlbench_trace::Category::Kernel, "conv1d_fused", flops);
-        let packed = PackedConvWeight::pack(filters, patch, self.weight.data());
-        let bias = self.bias.data();
-        let in_data = input.data();
-        let per_sample = |first: usize, out_chunk: &mut [f32]| {
-            for (si, out_s) in out_chunk.chunks_mut(sample_out).enumerate() {
-                let s = first + si;
-                for f in 0..filters {
-                    out_s[f * plane..(f + 1) * plane].fill(bias[f]);
-                }
-                conv_forward_fused(
-                    &geo,
-                    &packed,
-                    &in_data[s * sample_in..(s + 1) * sample_in],
-                    out_s,
-                );
-            }
-        };
-        if n * filters * patch * plane < par::PAR_MIN_WORK {
-            per_sample(0, out.data_mut());
-        } else {
-            par::par_row_chunks_mut(out.data_mut(), sample_out, per_sample);
-        }
+        let out = conv_forward(&self.geometry(l), &self.weight, &self.bias, input, "conv1d_fused");
         self.cached_input = Some(input.clone());
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("backward before forward");
-        let (n, l, e) = (input.shape()[0], input.shape()[2], input.shape()[3]);
-        let geo = self.geometry(l);
-        let plane = geo.out_plane();
-        let patch = geo.patch_len();
-        let sample_in = l * e;
-        let sample_out = self.filters * plane;
-        assert_eq!(grad_out.shape(), &[n, self.filters, plane, 1], "grad shape mismatch");
-
-        let mut grad_in = Tensor::zeros(input.shape());
-        let filters = self.filters;
-        let weight = self.weight.data();
-        let in_data = input.data();
-        let gout = grad_out.data();
-        let work = n * filters * patch * plane;
-
-        // Input gradient: disjoint per-sample rows, parallel directly.
-        let input_grad = |first: usize, gin_chunk: &mut [f32]| {
-            let mut cols_grad = arena::take(patch * plane);
-            for (si, gin_s) in gin_chunk.chunks_mut(sample_in).enumerate() {
-                let s = first + si;
-                let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
-                cols_grad.iter_mut().for_each(|v| *v = 0.0);
-                gemm_at_b(patch, filters, plane, weight, gout_s, &mut cols_grad);
-                col2im(&geo, &cols_grad, gin_s);
-            }
-        };
-        if work < par::PAR_MIN_WORK {
-            input_grad(0, grad_in.data_mut());
-        } else {
-            par::par_row_chunks_mut(grad_in.data_mut(), sample_in, input_grad);
-        }
-
-        // Weight/bias gradients: stage per-sample partials and reduce in
-        // ascending sample order — bit-identical at any thread count
-        // (same scheme as Conv2d, see the comment there).
-        let wb = filters * patch + filters;
-        if work < par::PAR_MIN_WORK || par::is_worker() || par::threads() == 1 {
-            let mut cols = arena::take(patch * plane);
-            let mut row = arena::take(wb);
-            for s in 0..n {
-                let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
-                im2col(&geo, &in_data[s * sample_in..(s + 1) * sample_in], &mut cols);
-                row.fill(0.0);
-                let (w_part, b_part) = row.split_at_mut(filters * patch);
-                gemm_a_bt(filters, plane, patch, gout_s, &cols, w_part);
-                for (f, b) in b_part.iter_mut().enumerate() {
-                    *b = gout_s[f * plane..(f + 1) * plane].iter().sum::<f32>();
-                }
-                let gw = self.grad_weight.data_mut();
-                for (dst, src) in gw.iter_mut().zip(w_part.iter()) {
-                    *dst += src;
-                }
-                let gb = self.grad_bias.data_mut();
-                for (dst, src) in gb.iter_mut().zip(b_part.iter()) {
-                    *dst += src;
-                }
-            }
-        } else {
-            let mut scratch = arena::take_zeroed(n * wb);
-            par::par_row_chunks_mut(&mut scratch, wb, |first, rows_chunk| {
-                let mut cols = arena::take(patch * plane);
-                for (si, row) in rows_chunk.chunks_mut(wb).enumerate() {
-                    let s = first + si;
-                    let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
-                    im2col(&geo, &in_data[s * sample_in..(s + 1) * sample_in], &mut cols);
-                    let (w_part, b_part) = row.split_at_mut(filters * patch);
-                    gemm_a_bt(filters, plane, patch, gout_s, &cols, w_part);
-                    for (f, b) in b_part.iter_mut().enumerate() {
-                        *b = gout_s[f * plane..(f + 1) * plane].iter().sum::<f32>();
-                    }
-                }
-            });
-            let gw = self.grad_weight.data_mut();
-            let gb = self.grad_bias.data_mut();
-            for row in scratch.chunks(wb) {
-                let (w_part, b_part) = row.split_at(filters * patch);
-                for (dst, src) in gw.iter_mut().zip(w_part) {
-                    *dst += src;
-                }
-                for (dst, src) in gb.iter_mut().zip(b_part) {
-                    *dst += src;
-                }
-            }
-        }
-        grad_in
+        let geo = self.geometry(input.shape()[2]);
+        let want = [input.shape()[0], self.filters, geo.out_plane(), 1];
+        assert_eq!(grad_out.shape(), &want, "grad shape mismatch");
+        conv_backward(
+            &geo,
+            &self.weight,
+            input,
+            grad_out,
+            &mut self.grad_weight,
+            &mut self.grad_bias,
+        )
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {

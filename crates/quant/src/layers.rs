@@ -341,7 +341,7 @@ impl QConv2d {
         // Weights pack once per call and are shared read-only across
         // samples and workers; samples are independent, so the batch
         // parallelizes over disjoint per-sample output rows.
-        let packed = PackedConvWeight::pack(out_channels, patch, self.weight.data());
+        let packed = PackedConvWeight::pack(&geo, out_channels, self.weight.data());
         let s = self.act_scale * self.weight.scale;
         let zx = self.act_zero_point as i32;
         let per_sample = |first: usize, out_chunk: &mut [f32]| {
@@ -349,7 +349,7 @@ impl QConv2d {
             for (si, out_s) in out_chunk.chunks_mut(sample_out).enumerate() {
                 let x = &xq[(first + si) * sample_in..(first + si + 1) * sample_in];
                 acc.fill(0);
-                conv_forward_fused_i8(&geo, &packed, x, self.act_zero_point, &mut acc);
+                conv_forward_fused_i8(&packed, x, self.act_zero_point, &mut acc);
                 for oc in 0..out_channels {
                     let corr = zx * self.wsum[oc];
                     let b = self.bias[oc];
@@ -595,7 +595,7 @@ impl QConv1dBank {
                     stride: 1,
                     pad: 0,
                 };
-                (branch, geo, PackedConvWeight::pack(f, geo.patch_len(), branch.weight.data()))
+                (branch, geo, PackedConvWeight::pack(&geo, f, branch.weight.data()))
             })
             .collect();
         let work: usize = plans.iter().map(|(_, g, _)| n * f * g.patch_len() * g.out_plane()).sum();
@@ -608,7 +608,7 @@ impl QConv1dBank {
                     let plane = geo.out_plane();
                     acc.clear();
                     acc.resize(f * plane, 0i32);
-                    conv_forward_fused_i8(geo, packed, x, self.act_zero_point, &mut acc);
+                    conv_forward_fused_i8(packed, x, self.act_zero_point, &mut acc);
                     let s = self.act_scale * branch.weight.scale;
                     for (oc, o) in out_row[b * f..(b + 1) * f].iter_mut().enumerate() {
                         let corr = zx * branch.wsum[oc];

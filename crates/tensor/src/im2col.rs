@@ -6,6 +6,8 @@
 //! frameworks (implicitly) lower convolutions, and it is the layout the
 //! cost model charges for.
 
+use std::ops::Range;
+
 /// Geometry of a 2-D convolution: input plane size, kernel, stride and
 /// symmetric zero padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,11 +30,18 @@ pub struct Conv2dGeometry {
 
 impl Conv2dGeometry {
     /// Output height after convolving.
+    ///
+    /// A kernel taller than the padded input (`kernel_h > in_h + 2·pad`)
+    /// still yields one output row: the count saturates at 1, and the
+    /// taps that overhang the padded input read zero, as padding does
+    /// (pinned by `overhanging_kernel_reads_zero_past_the_image`).
     pub fn out_h(&self) -> usize {
         (self.in_h + 2 * self.pad).saturating_sub(self.kernel_h) / self.stride + 1
     }
 
-    /// Output width after convolving.
+    /// Output width after convolving. Like [`Self::out_h`], a kernel
+    /// wider than the padded input gives one output column whose
+    /// overhanging taps read zero.
     pub fn out_w(&self) -> usize {
         (self.in_w + 2 * self.pad).saturating_sub(self.kernel_w) / self.stride + 1
     }
@@ -48,42 +57,34 @@ impl Conv2dGeometry {
     }
 }
 
-/// Unrolls one image (`[C, H, W]` in `input`) into a patch matrix of
-/// shape `[patch_len, out_h*out_w]` stored row-major in `cols`.
-///
-/// # Panics
-///
-/// Panics (debug assertions) if slice lengths disagree with `geo`.
-pub fn im2col(geo: &Conv2dGeometry, input: &[f32], cols: &mut [f32]) {
-    let _span = dlbench_trace::span(dlbench_trace::Category::Kernel, "im2col");
+/// The output positions `o < out` along one axis at which kernel tap
+/// `tap` reads inside an input of `len` elements: input index
+/// `o·stride + tap − pad` lies in `[0, len)`. Every other position
+/// reads padding (or, past an overhanging kernel's reach, zero).
+fn tap_range(len: usize, out: usize, tap: usize, stride: usize, pad: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(tap).div_ceil(stride);
+    let hi = (len + pad).saturating_sub(tap).div_ceil(stride).min(out);
+    lo.min(hi)..hi
+}
+
+/// Visits the patch-matrix rows of one image in order: for each tap
+/// `(c, kh, kw)` and each output row `oy` whose input row `iy` is inside
+/// the image, calls `f(row, oy, xs, src)` with the valid output-column
+/// range `xs` (computed once per tap) and the offset in `[C, H, W]` of
+/// input pixel `(c, iy, xs.start·stride + kw − pad)`.
+fn for_each_tap_row(geo: &Conv2dGeometry, mut f: impl FnMut(usize, usize, Range<usize>, usize)) {
     let (oh, ow) = (geo.out_h(), geo.out_w());
-    debug_assert_eq!(input.len(), geo.in_channels * geo.in_h * geo.in_w);
-    debug_assert_eq!(cols.len(), geo.patch_len() * oh * ow);
-    let mut row = 0usize;
+    let mut row = 0;
     for c in 0..geo.in_channels {
-        let plane = &input[c * geo.in_h * geo.in_w..(c + 1) * geo.in_h * geo.in_w];
         for kh in 0..geo.kernel_h {
+            let ys = tap_range(geo.in_h, oh, kh, geo.stride, geo.pad);
             for kw in 0..geo.kernel_w {
-                let out_row = &mut cols[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * geo.stride + kh) as isize - geo.pad as isize;
-                    if iy < 0 || iy >= geo.in_h as isize {
-                        for _ in 0..ow {
-                            out_row[idx] = 0.0;
-                            idx += 1;
-                        }
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * geo.stride + kw) as isize - geo.pad as isize;
-                        out_row[idx] = if ix < 0 || ix >= geo.in_w as isize {
-                            0.0
-                        } else {
-                            plane[iy * geo.in_w + ix as usize]
-                        };
-                        idx += 1;
+                let xs = tap_range(geo.in_w, ow, kw, geo.stride, geo.pad);
+                if !xs.is_empty() {
+                    for oy in ys.clone() {
+                        let iy = oy * geo.stride + kh - geo.pad;
+                        let ix = xs.start * geo.stride + kw - geo.pad;
+                        f(row, oy, xs.clone(), (c * geo.in_h + iy) * geo.in_w + ix);
                     }
                 }
                 row += 1;
@@ -92,42 +93,44 @@ pub fn im2col(geo: &Conv2dGeometry, input: &[f32], cols: &mut [f32]) {
     }
 }
 
+/// Unrolls one image (`[C, H, W]` in `input`) into a patch matrix of
+/// shape `[patch_len, out_h*out_w]` stored row-major in `cols`.
+///
+/// # Panics
+///
+/// Panics (debug assertions) if slice lengths disagree with `geo`.
+pub fn im2col(geo: &Conv2dGeometry, input: &[f32], cols: &mut [f32]) {
+    let _span = dlbench_trace::span(dlbench_trace::Category::Kernel, "im2col");
+    let (plane, ow) = (geo.out_plane(), geo.out_w());
+    debug_assert_eq!(input.len(), geo.in_channels * geo.in_h * geo.in_w);
+    debug_assert_eq!(cols.len(), geo.patch_len() * plane);
+    // Padding first, then one copy per valid stretch of an image row.
+    cols.fill(0.0);
+    for_each_tap_row(geo, |row, oy, xs, src| {
+        let dst = &mut cols[row * plane + oy * ow..][xs.clone()];
+        for (d, &v) in dst.iter_mut().zip(input[src..].iter().step_by(geo.stride)) {
+            *d = v;
+        }
+    });
+}
+
 /// Adjoint of [`im2col`]: scatters the patch-matrix gradient `cols` back
-/// into an image gradient `grad` (`[C, H, W]`), accumulating overlaps.
+/// into an image gradient `grad` (`[C, H, W]`), accumulating overlaps in
+/// ascending patch-row order.
 ///
 /// `grad` must be zeroed by the caller if a pure gradient (rather than
 /// accumulation) is desired.
 pub fn col2im(geo: &Conv2dGeometry, cols: &[f32], grad: &mut [f32]) {
     let _span = dlbench_trace::span(dlbench_trace::Category::Kernel, "col2im");
-    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let (plane, ow) = (geo.out_plane(), geo.out_w());
     debug_assert_eq!(grad.len(), geo.in_channels * geo.in_h * geo.in_w);
-    debug_assert_eq!(cols.len(), geo.patch_len() * oh * ow);
-    let mut row = 0usize;
-    for c in 0..geo.in_channels {
-        let plane_off = c * geo.in_h * geo.in_w;
-        for kh in 0..geo.kernel_h {
-            for kw in 0..geo.kernel_w {
-                let col_row = &cols[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * geo.stride + kh) as isize - geo.pad as isize;
-                    if iy < 0 || iy >= geo.in_h as isize {
-                        idx += ow;
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * geo.stride + kw) as isize - geo.pad as isize;
-                        if ix >= 0 && ix < geo.in_w as isize {
-                            grad[plane_off + iy * geo.in_w + ix as usize] += col_row[idx];
-                        }
-                        idx += 1;
-                    }
-                }
-                row += 1;
-            }
+    debug_assert_eq!(cols.len(), geo.patch_len() * plane);
+    for_each_tap_row(geo, |row, oy, xs, dst| {
+        let src = &cols[row * plane + oy * ow..][xs];
+        for (g, &v) in grad[dst..].iter_mut().step_by(geo.stride).zip(src) {
+            *g += v;
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -205,5 +208,59 @@ mod tests {
         col2im(&g, &y, &mut grad);
         let rhs: f32 = x.iter().zip(&grad).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    /// A 5×5 kernel over a 4×4 input with no padding overhangs it: one
+    /// output site, whose taps in the fifth row or column read zero.
+    /// `im2col`, `col2im` and the fused kernels agree on it.
+    #[test]
+    fn overhanging_kernel_reads_zero_past_the_image() {
+        use crate::{
+            conv_backward_data, conv_backward_filter, conv_forward_fused, ConvBackward,
+            PackedConvWeight,
+        };
+        let g = geo(2, 4, 4, 5, 1, 0);
+        assert_eq!((g.out_h(), g.out_w(), g.out_plane()), (1, 1, 1));
+        let x: Vec<f32> = (1..=32).map(|v| v as f32).collect();
+        let mut cols = vec![f32::NAN; g.patch_len()];
+        im2col(&g, &x, &mut cols);
+        for (r, &v) in cols.iter().enumerate() {
+            let (c, kh, kw) = (r / 25, r % 25 / 5, r % 5);
+            let want = if kh < 4 && kw < 4 { x[c * 16 + kh * 4 + kw] } else { 0.0 };
+            assert_eq!(v, want, "tap ({c}, {kh}, {kw})");
+        }
+
+        // col2im drops the overhanging taps' gradient.
+        let dcols: Vec<f32> = (0..g.patch_len()).map(|r| r as f32).collect();
+        let mut grad = vec![0.0f32; x.len()];
+        col2im(&g, &dcols, &mut grad);
+        for (i, &v) in grad.iter().enumerate() {
+            let (c, y, xx) = (i / 16, i % 16 / 4, i % 4);
+            assert_eq!(v, (c * 25 + y * 5 + xx) as f32, "pixel ({c}, {y}, {xx})");
+        }
+
+        // The fused forward is W·cols; its backward is the adjoint pair.
+        let oc = 3;
+        let w: Vec<f32> = (0..oc * g.patch_len()).map(|i| (i % 7) as f32 - 3.0).collect();
+        let mut out = vec![0.0f32; oc];
+        conv_forward_fused(&PackedConvWeight::pack(&g, oc, &w), &x, &mut out);
+        for (o, &y) in out.iter().enumerate() {
+            let want: f32 = w[o * 50..(o + 1) * 50].iter().zip(&cols).map(|(a, b)| a * b).sum();
+            assert_eq!(y, want, "forward channel {o}");
+        }
+        let gout = [1.0f32, -2.0, 0.5];
+        let backward = ConvBackward::new(&g, oc, &w);
+        let mut gin = vec![f32::NAN; x.len()];
+        conv_backward_data(&backward, &gout, &mut gin);
+        let wt_g: Vec<f32> =
+            (0..g.patch_len()).map(|r| (0..oc).map(|o| w[o * 50 + r] * gout[o]).sum()).collect();
+        let mut want = vec![0.0f32; x.len()];
+        col2im(&g, &wt_g, &mut want);
+        assert_eq!(gin, want, "input gradient");
+        let mut gw = vec![f32::NAN; oc * g.patch_len()];
+        conv_backward_filter(&backward, &x, &gout, &mut gw);
+        for (i, &v) in gw.iter().enumerate() {
+            assert_eq!(v, gout[i / 50] * cols[i % 50], "weight gradient {i}");
+        }
     }
 }

@@ -42,7 +42,10 @@ mod shape;
 mod tensor;
 
 pub use error::{Result, TensorError};
-pub use fused::{conv_forward_fused, conv_forward_fused_i8, PackedConvWeight};
+pub use fused::{
+    conv_backward_data, conv_backward_filter, conv_forward_fused, conv_forward_fused_i8,
+    ConvBackward, PackedConvWeight,
+};
 pub use im2col::{col2im, im2col, Conv2dGeometry};
 pub use linalg::{gemm, gemm_a_bt, gemm_at_b, gemm_bias};
 pub use ops::accuracy;

@@ -25,7 +25,9 @@
 //! driver is generic over the destination element ([`TileDst`]): an
 //! `f32` destination seeds each `KC`-deep slab's tile from `c`, an
 //! `i32` destination seeds it at zero and adds the finished slab into
-//! `c` (see [`crate::gemm_i8`] for why that is exact).
+//! `c` (see [`crate::gemm_i8`] for why that is exact). The fused
+//! convolutions ([`crate::fused`]) drive the same micro-kernel, its
+//! broadcast operand gathered from an image instead of a packed panel.
 //!
 //! Large kernels are parallelized by partitioning the *rows of the
 //! destination* across workers (see [`crate::par`]); each worker runs
@@ -71,7 +73,7 @@ fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
 /// each element to `f32`: panel `it` occupies `ap[it·k·MR ..]` with
 /// layout `[kk][ii]`, rows beyond `rows` zero-padded. Tile stride is
 /// `k·MR`, so a `[k0, k0+kc)` sub-slab of any panel is contiguous.
-pub(crate) fn pack_a<T: Copy + Into<f32>>(rows: usize, k: usize, a: &[T], ap: &mut [f32]) {
+fn pack_a<T: Copy + Into<f32>>(rows: usize, k: usize, a: &[T], ap: &mut [f32]) {
     for it in 0..rows.div_ceil(MR) {
         let tile = &mut ap[it * k * MR..(it + 1) * k * MR];
         for ii in 0..MR {
@@ -111,7 +113,13 @@ fn pack_a_t(first: usize, rows: usize, k: usize, m: usize, a: &[f32], ap: &mut [
 /// panels, widening each element to `f32`: panel `jt` occupies
 /// `bp[jt·kc·NR ..]` with layout `[kk][jj]`, columns beyond `n`
 /// zero-padded.
-fn pack_b_block<T: Copy + Into<f32>>(k0: usize, kc: usize, n: usize, b: &[T], bp: &mut [f32]) {
+pub(crate) fn pack_b_block<T: Copy + Into<f32>>(
+    k0: usize,
+    kc: usize,
+    n: usize,
+    b: &[T],
+    bp: &mut [f32],
+) {
     let n_tiles = n.div_ceil(NR);
     for jt in 0..n_tiles {
         let j0 = jt * NR;
@@ -136,8 +144,16 @@ fn pack_b_block<T: Copy + Into<f32>>(k0: usize, kc: usize, n: usize, b: &[T], bp
 
 /// Packs columns `[k0, k0+kc)` of the transpose of an `n×k` row-major
 /// matrix into the same `NR`-panel layout as [`pack_b_block`] (used by
-/// `gemm_a_bt`, whose right operand is stored transposed).
-fn pack_bt_block(k0: usize, kc: usize, k: usize, n: usize, b: &[f32], bp: &mut [f32]) {
+/// `gemm_a_bt`, whose right operand is stored transposed, and by the
+/// fused conv kernels for weight and gradient panels).
+pub(crate) fn pack_bt_block<T: Copy + Into<f32>>(
+    k0: usize,
+    kc: usize,
+    k: usize,
+    n: usize,
+    b: &[T],
+    bp: &mut [f32],
+) {
     let n_tiles = n.div_ceil(NR);
     for jt in 0..n_tiles {
         let tile = &mut bp[jt * kc * NR..(jt + 1) * kc * NR];
@@ -146,7 +162,7 @@ fn pack_bt_block(k0: usize, kc: usize, k: usize, n: usize, b: &[f32], bp: &mut [
             if j < n {
                 let b_row = &b[j * k + k0..j * k + k0 + kc];
                 for (kk, &v) in b_row.iter().enumerate() {
-                    tile[kk * NR + jj] = v;
+                    tile[kk * NR + jj] = v.into();
                 }
             } else {
                 for kk in 0..kc {
@@ -162,63 +178,73 @@ fn pack_bt_block(k0: usize, kc: usize, k: usize, n: usize, b: &[f32], bp: &mut [
 // ---------------------------------------------------------------------
 
 /// The micro-kernel's accumulator: one `MR×NR` register tile.
-type Tile = [[f32; NR]; MR];
+pub(crate) type Tile = [[f32; NR]; MR];
 
 /// The one micro-kernel: the caller's `MR×NR` accumulator `tile`
-/// receives `kc` rank-1 updates from packed panels `ap` (`[kk][ii]`)
-/// and `bp` (`[kk][jj]`) in ascending `kk`. The 32 accumulator lanes
-/// are independent chains, so the loop vectorizes; lanes over padding
-/// rows or columns multiply padded panel entries and are never stored.
-fn micro_kernel(kc: usize, ap: &[f32], bp: &[f32], tile: &mut Tile) {
+/// receives one rank-1 update per pair of left-operand column `a_cols`
+/// (`MR` values) and packed right-operand row `b_rows` (`NR` values),
+/// in ascending order. The 32 accumulator lanes are independent chains,
+/// so the loop vectorizes; lanes over padding rows or columns multiply
+/// padded entries and are never stored.
+///
+/// The left operand comes as an iterator so one body serves both the
+/// packed panels of the GEMMs and the fused convolutions, which gather
+/// their `MR` values straight from an image (see [`crate::fused`]).
+#[inline(always)]
+pub(crate) fn micro_kernel(
+    a_cols: impl Iterator<Item = [f32; MR]>,
+    b_rows: &[[f32; NR]],
+    tile: &mut Tile,
+) {
     // Updating through the reference keeps the lanes in memory; a local
     // copy lets LLVM hold all 32 in registers.
     let mut acc = *tile;
-    for (a_col, b_row) in ap[..kc * MR].chunks_exact(MR).zip(bp[..kc * NR].chunks_exact(NR)) {
-        for (ii, acc_row) in acc.iter_mut().enumerate() {
-            let av = a_col[ii];
-            for (jj, lane) in acc_row.iter_mut().enumerate() {
-                *lane += av * b_row[jj];
+    for (a_col, b_row) in a_cols.zip(b_rows) {
+        for (acc_row, &av) in acc.iter_mut().zip(&a_col) {
+            for (lane, &bv) in acc_row.iter_mut().zip(b_row) {
+                *lane += av * bv;
             }
         }
     }
     *tile = acc;
 }
 
-/// A destination element type of the tile driver: how a `KC`-deep
-/// slab's accumulator tile is seeded from the live `mr×nr` corner of
-/// `c` (row stride `n`), and how the finished tile folds back into it.
-pub(crate) trait TileDst: Sized {
-    /// Seeds `acc` (all zeros on entry) before the slab's first update.
-    fn load(c: &[Self], n: usize, mr: usize, nr: usize, acc: &mut Tile);
-    /// Folds `acc` after the slab's last update into `c`.
-    fn store(c: &mut [Self], n: usize, mr: usize, nr: usize, acc: &Tile);
+/// Views a packed panel slab as its `W`-wide rows.
+pub(crate) fn rows_of<const W: usize>(panel: &[f32]) -> &[[f32; W]] {
+    let (rows, rest) = panel.as_chunks::<W>();
+    debug_assert!(rest.is_empty());
+    rows
 }
 
-/// fp32: the tile is loaded from `c` and stored back, so each element
-/// is one chain across all slabs.
+/// A destination element type of the tile driver: where a `KC`-deep
+/// slab's accumulator lane starts from, and how the finished lane folds
+/// back into the element.
+pub(crate) trait TileDst: Copy {
+    /// The lane's value before the slab's first update.
+    fn seed(self) -> f32;
+    /// Folds the lane after the slab's last update into the element.
+    fn fold(&mut self, lane: f32);
+}
+
+/// fp32: the lane starts from the element and replaces it, so each
+/// element is one chain across all slabs.
 impl TileDst for f32 {
-    fn load(c: &[f32], n: usize, mr: usize, nr: usize, acc: &mut Tile) {
-        for (ii, acc_row) in acc.iter_mut().enumerate().take(mr) {
-            acc_row[..nr].copy_from_slice(&c[ii * n..ii * n + nr]);
-        }
+    fn seed(self) -> f32 {
+        self
     }
-    fn store(c: &mut [f32], n: usize, mr: usize, nr: usize, acc: &Tile) {
-        for (ii, acc_row) in acc.iter().enumerate().take(mr) {
-            c[ii * n..ii * n + nr].copy_from_slice(&acc_row[..nr]);
-        }
+    fn fold(&mut self, lane: f32) {
+        *self = lane;
     }
 }
 
 /// int8 → i32: each slab starts at zero and its exact integer sum is
-/// added into `c` (see the `KC` exactness assertion).
+/// added into the element (see the `KC` exactness assertion).
 impl TileDst for i32 {
-    fn load(_: &[i32], _: usize, _: usize, _: usize, _: &mut Tile) {}
-    fn store(c: &mut [i32], n: usize, mr: usize, nr: usize, acc: &Tile) {
-        for (ii, acc_row) in acc.iter().enumerate().take(mr) {
-            for (d, &lane) in c[ii * n..ii * n + nr].iter_mut().zip(acc_row) {
-                *d += lane as i32;
-            }
-        }
+    fn seed(self) -> f32 {
+        0.0
+    }
+    fn fold(&mut self, lane: f32) {
+        *self += lane as i32;
     }
 }
 
@@ -227,7 +253,7 @@ impl TileDst for i32 {
 /// `KC`-deep slab at a time by `pack_b`, accumulating into the
 /// `rows×n` destination `c`. `pack_b(k0, kc, bp)` must fill `bp` with
 /// the `[k0, k0+kc)` slab in [`pack_b_block`] layout.
-pub(crate) fn gemm_tiles<D: TileDst, PB: FnMut(usize, usize, &mut [f32])>(
+fn gemm_tiles<D: TileDst, PB: FnMut(usize, usize, &mut [f32])>(
     rows: usize,
     k: usize,
     n: usize,
@@ -250,9 +276,17 @@ pub(crate) fn gemm_tiles<D: TileDst, PB: FnMut(usize, usize, &mut [f32])>(
                 let b_tile = &bp[jt * kc * NR..(jt + 1) * kc * NR];
                 let c_tile = &mut c[it * MR * n + jt * NR..];
                 let mut acc = [[0.0f32; NR]; MR];
-                D::load(c_tile, n, mr, nr, &mut acc);
-                micro_kernel(kc, a_tile, b_tile, &mut acc);
-                D::store(c_tile, n, mr, nr, &acc);
+                for (ii, acc_row) in acc.iter_mut().enumerate().take(mr) {
+                    for (lane, c) in acc_row.iter_mut().zip(&c_tile[ii * n..ii * n + nr]) {
+                        *lane = c.seed();
+                    }
+                }
+                micro_kernel(rows_of::<MR>(a_tile).iter().copied(), rows_of(b_tile), &mut acc);
+                for (ii, acc_row) in acc.iter().enumerate().take(mr) {
+                    for (c, &lane) in c_tile[ii * n..ii * n + nr].iter_mut().zip(acc_row) {
+                        c.fold(lane);
+                    }
+                }
             }
         }
         k0 += kc;

@@ -132,4 +132,8 @@ echo "==> infer-paper smoke (seed 42, 2 s; digests and seed-42 reference checked
 cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
     --workload infer-paper --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
 
+echo "==> paper-tiny smoke (seed 42, 2 s; seed-42 losses and warm-up bit equality checked)"
+cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
+    --workload paper-tiny --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
+
 echo "==> OK"

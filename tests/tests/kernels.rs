@@ -1,6 +1,7 @@
 //! Kernel equivalence gate: the packed, blocked GEMM kernels (fp32 and
-//! int8) and the fused im2col+GEMM convolutions (fp32 and int8) must be
-//! *bitwise* equal to their textbook references.
+//! int8), the fused convolution forwards (fp32 and int8) and the fused
+//! convolution backward (fp32) must be *bitwise* equal to their textbook
+//! references.
 //!
 //! The determinism contract (see `dlbench_tensor::linalg`) says every
 //! destination element evolves as the fixed chain
@@ -13,11 +14,11 @@
 
 use dlbench_data::DatasetKind;
 use dlbench_frameworks::{arch_defaults, FrameworkKind};
-use dlbench_nn::{Conv1dBank, Conv2d, Initializer, Layer};
+use dlbench_nn::{Conv1d, Conv1dBank, Conv2d, Initializer, Layer};
 use dlbench_quant::{im2col_i8, QConv1dBank, QConv2d};
 use dlbench_tensor::{
-    gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, par, quantize_i8, Conv2dGeometry, SeededRng,
-    Tensor,
+    col2im, gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, im2col, par, quantize_i8,
+    Conv2dGeometry, SeededRng, Tensor,
 };
 use std::sync::Mutex;
 
@@ -194,49 +195,246 @@ fn zero_rows_do_not_mask_poisoned_operands() {
     }
 }
 
-/// The fused im2col+GEMM forward must be bitwise-transparent: for every
-/// conv geometry in the three personality networks (both datasets), the
-/// fused `Conv2d::forward` equals the materialized im2col+GEMM oracle,
-/// serial and at 4 threads.
+/// Every personality conv geometry (MNIST and CIFAR-10) at native input
+/// size and at the Tiny scale's 12×12, as `(label, geometry, out
+/// channels)`. At 12×12 the Caffe-MNIST and Torch-MNIST second convs get
+/// a 5×5 kernel over a 4×4 and a 3×3 input: the kernel overhangs the
+/// image.
+fn personality_conv_geometries() -> Vec<(String, Conv2dGeometry, usize)> {
+    let mut geos = Vec::new();
+    for fw in FrameworkKind::ALL {
+        for ds in [DatasetKind::Mnist, DatasetKind::Cifar10] {
+            let spec = arch_defaults(fw, ds);
+            for size in [ds.native_size(), 12] {
+                for (i, (geo, oc)) in
+                    spec.conv_geometries((ds.channels(), size, size)).into_iter().enumerate()
+                {
+                    geos.push((format!("{}/conv{} @{size}", spec.name, i + 1), geo, oc));
+                }
+            }
+        }
+    }
+    geos
+}
+
+fn conv_layer(geo: &Conv2dGeometry, oc: usize, rng: &mut SeededRng) -> Conv2d {
+    assert_eq!(geo.kernel_h, geo.kernel_w, "Conv2d kernels are square");
+    Conv2d::new(geo.in_channels, oc, geo.kernel_h, geo.stride, geo.pad, Initializer::Xavier, rng)
+}
+
+/// The fused convolution forward must be bitwise-transparent: for every
+/// personality conv geometry at native and Tiny input size, the fused
+/// `Conv2d::forward` equals the materialized im2col+GEMM oracle, serial
+/// and at 4 threads.
 #[test]
 fn fused_conv_forward_is_bitwise_transparent_for_all_personalities() {
     let _gate = gate();
     let mut rng = SeededRng::new(0xF5ED);
     const BATCH: usize = 3;
-    for fw in FrameworkKind::ALL {
-        for ds in [DatasetKind::Mnist, DatasetKind::Cifar10] {
-            let spec = arch_defaults(fw, ds);
-            let input = (ds.channels(), ds.native_size(), ds.native_size());
-            for (i, (geo, oc)) in spec.conv_geometries(input).iter().enumerate() {
-                let mut conv = Conv2d::new(
-                    geo.in_channels,
-                    *oc,
-                    geo.kernel_h,
-                    geo.stride,
-                    geo.pad,
-                    Initializer::Xavier,
-                    &mut rng,
-                );
-                let x = Tensor::randn(
-                    &[BATCH, geo.in_channels, geo.in_h, geo.in_w],
-                    0.0,
-                    1.0,
-                    &mut rng,
-                );
-                let want = bits(conv.forward_materialized(&x).data());
-                for threads in [1, 4] {
-                    let got = at_threads(threads, || conv.forward(&x, false));
-                    assert_eq!(
-                        bits(got.data()),
-                        want,
-                        "{}/conv{} fused != materialized @ {threads} threads",
-                        spec.name,
-                        i + 1
-                    );
-                }
-            }
+    let geos = personality_conv_geometries();
+    assert!(geos.iter().any(|(_, g, _)| g.kernel_h > g.in_h + 2 * g.pad), "no overhang case");
+    for (label, geo, oc) in geos {
+        let mut conv = conv_layer(&geo, oc, &mut rng);
+        let x = Tensor::randn(&[BATCH, geo.in_channels, geo.in_h, geo.in_w], 0.0, 1.0, &mut rng);
+        let want = bits(conv.forward_materialized(&x).data());
+        for threads in [1, 4] {
+            let got = at_threads(threads, || conv.forward(&x, false));
+            assert_eq!(bits(got.data()), want, "{label} fused != materialized @ {threads} threads");
         }
     }
+}
+
+/// Gradients of a conv layer: input, weight, bias.
+struct ConvGrads {
+    input: Vec<f32>,
+    weight: Vec<f32>,
+    bias: Vec<f32>,
+}
+
+/// The materialized backward, spelled out per sample: the input
+/// gradient is `Wᵀ @ grad_out` into a zeroed patch matrix (`gemm_at_b`)
+/// scattered by `col2im` into a zeroed image; the weight gradient is
+/// `grad_out @ im2col(x)ᵀ` (`gemm_a_bt`) into a zeroed staging row whose
+/// weight and bias parts are then added to the running gradients, one
+/// sample at a time in ascending order.
+fn materialized_conv_backward(
+    geo: &Conv2dGeometry,
+    weight: &[f32],
+    x: &[f32],
+    grad_out: &[f32],
+    running: &ConvGrads,
+) -> ConvGrads {
+    let (patch, plane) = (geo.patch_len(), geo.out_plane());
+    let oc = weight.len() / patch;
+    let sample_in = geo.in_channels * geo.in_h * geo.in_w;
+    let mut grads = ConvGrads {
+        input: vec![0.0; x.len()],
+        weight: running.weight.clone(),
+        bias: running.bias.clone(),
+    };
+    let mut cols = vec![0.0f32; patch * plane];
+    for (s, gout) in grad_out.chunks(oc * plane).enumerate() {
+        cols.fill(0.0);
+        gemm_at_b(patch, oc, plane, weight, gout, &mut cols);
+        col2im(geo, &cols, &mut grads.input[s * sample_in..(s + 1) * sample_in]);
+
+        im2col(geo, &x[s * sample_in..(s + 1) * sample_in], &mut cols);
+        let mut w_part = vec![0.0f32; oc * patch];
+        gemm_a_bt(oc, plane, patch, gout, &cols, &mut w_part);
+        for (g, p) in grads.weight.iter_mut().zip(&w_part) {
+            *g += p;
+        }
+        for (g, row) in grads.bias.iter_mut().zip(gout.chunks(plane)) {
+            *g += row.iter().sum::<f32>();
+        }
+    }
+    grads
+}
+
+/// Runs `layer`'s backward at `threads` from the `running` weight and
+/// bias gradients (a forward on `x` first, to cache the input).
+fn layer_backward(
+    layer: &mut dyn Layer,
+    x: &Tensor,
+    grad_out: &Tensor,
+    running: &ConvGrads,
+    threads: usize,
+) -> ConvGrads {
+    let input = at_threads(threads, || {
+        layer.forward(x, true);
+        for (param, init) in layer.params().into_iter().zip([&running.weight, &running.bias]) {
+            param.grad.data_mut().copy_from_slice(init);
+        }
+        layer.backward(grad_out)
+    });
+    let params = layer.params();
+    ConvGrads {
+        input: input.into_vec(),
+        weight: params[0].grad.data().to_vec(),
+        bias: params[1].grad.data().to_vec(),
+    }
+}
+
+/// Bitwise equality, except that any two NaNs count as equal (the
+/// payload of `NaN·NaN` depends on operand order, which the contract
+/// does not fix).
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan())
+}
+
+/// Checks `layer`'s fused backward against the materialized oracle at 1
+/// and 4 threads, starting from nonzero weight and bias gradients.
+fn check_backward(
+    label: &str,
+    layer: &mut dyn Layer,
+    geo: &Conv2dGeometry,
+    weight: &[f32],
+    x: &Tensor,
+    grad_out: &Tensor,
+    rng: &mut SeededRng,
+) -> ConvGrads {
+    let oc = weight.len() / geo.patch_len();
+    let running = ConvGrads {
+        input: Vec::new(),
+        weight: Tensor::randn(&[weight.len()], 0.0, 1.0, rng).into_vec(),
+        bias: Tensor::randn(&[oc], 0.0, 1.0, rng).into_vec(),
+    };
+    let want = materialized_conv_backward(geo, weight, x.data(), grad_out.data(), &running);
+    for threads in [1, 4] {
+        let got = layer_backward(layer, x, grad_out, &running, threads);
+        for (what, g, w) in [
+            ("input", &got.input, &want.input),
+            ("weight", &got.weight, &want.weight),
+            ("bias", &got.bias, &want.bias),
+        ] {
+            assert!(
+                same_bits(g, w),
+                "{label}: fused {what} gradient != materialized @ {threads} threads"
+            );
+        }
+    }
+    want
+}
+
+/// The fused convolution backward must be bitwise-transparent too: for
+/// every personality conv geometry at native and Tiny input size, plus a
+/// strided padded geometry, a 1×1 kernel and every IMDB conv-bank
+/// branch, `backward`'s input, weight and bias gradients equal the
+/// materialized oracle's, serial and at 4 threads, accumulated onto
+/// nonzero gradients already present.
+#[test]
+fn fused_conv_backward_is_bitwise_transparent_for_all_personalities() {
+    let _gate = gate();
+    let mut rng = SeededRng::new(0xB4CC);
+    const BATCH: usize = 3;
+    let geo = |c, hw, k, stride, pad| Conv2dGeometry {
+        in_channels: c,
+        in_h: hw,
+        in_w: hw,
+        kernel_h: k,
+        kernel_w: k,
+        stride,
+        pad,
+    };
+    let mut cases = personality_conv_geometries();
+    cases.push(("stride 2, pad 1".into(), geo(3, 11, 3, 2, 1), 6));
+    cases.push(("1x1 kernel".into(), geo(5, 7, 1, 1, 0), 4));
+    for (label, geo, oc) in cases {
+        let mut conv = conv_layer(&geo, oc, &mut rng);
+        let x = Tensor::randn(&[BATCH, geo.in_channels, geo.in_h, geo.in_w], 0.0, 1.0, &mut rng);
+        let grad_out = Tensor::randn(&[BATCH, oc, geo.out_h(), geo.out_w()], 0.0, 1.0, &mut rng);
+        let weight = conv.weight().data().to_vec();
+        check_backward(&label, &mut conv, &geo, &weight, &x, &grad_out, &mut rng);
+    }
+
+    let ds = DatasetKind::Imdb;
+    for fw in FrameworkKind::ALL {
+        let spec = arch_defaults(fw, ds);
+        for (geo, filters) in spec.conv_geometries((ds.channels(), ds.native_size(), 1)) {
+            let mut conv =
+                Conv1d::new(filters, geo.kernel_h, geo.in_w, Initializer::Xavier, &mut rng);
+            assert_eq!(conv.geometry(geo.in_h), geo);
+            let x = Tensor::randn(&[BATCH, 1, geo.in_h, geo.in_w], 0.0, 1.0, &mut rng);
+            let grad_out = Tensor::randn(&[BATCH, filters, geo.out_h(), 1], 0.0, 1.0, &mut rng);
+            let weight = conv.weight().data().to_vec();
+            let label = format!("{}/conv1d w{}", spec.name, geo.kernel_h);
+            check_backward(&label, &mut conv, &geo, &weight, &x, &grad_out, &mut rng);
+        }
+    }
+}
+
+/// `0·NaN = NaN` and `0·∞ = NaN` must reach the fused backward's
+/// gradients exactly where the materialized oracle puts them (as in
+/// `zero_rows_do_not_mask_poisoned_operands`): a zero output gradient
+/// against a poisoned input still poisons the weight gradient, and a
+/// poisoned weight still poisons the input gradient.
+#[test]
+fn fused_conv_backward_propagates_non_finite_operands() {
+    let _gate = gate();
+    let mut rng = SeededRng::new(0x0BAD);
+    let geo = Conv2dGeometry {
+        in_channels: 2,
+        in_h: 12,
+        in_w: 12,
+        kernel_h: 5,
+        kernel_w: 5,
+        stride: 1,
+        pad: 2,
+    };
+    let (oc, batch) = (8, 4);
+    let mut conv = conv_layer(&geo, oc, &mut rng);
+    let mut x = Tensor::randn(&[batch, 2, 12, 12], 0.0, 1.0, &mut rng);
+    x.data_mut()[12 * 5 + 7] = f32::NAN;
+    x.data_mut()[288 + 144 + 12 * 11] = f32::INFINITY;
+    let grad_out = Tensor::zeros(&[batch, oc, 12, 12]);
+    // Poison one weight tap of output channel 0.
+    conv.params()[0].value.data_mut()[3] = f32::NAN;
+    let weight = conv.weight().data().to_vec();
+    let want = check_backward("non-finite", &mut conv, &geo, &weight, &x, &grad_out, &mut rng);
+    assert!(want.weight.iter().any(|v| v.is_nan()), "oracle weight gradient not poisoned");
+    assert!(want.input.iter().any(|v| v.is_nan()), "oracle input gradient not poisoned");
+    assert!(want.weight.iter().any(|v| v.is_finite()), "poison spread everywhere");
 }
 
 /// `gemm_i8` sums each `KC`-deep slab in an f32 tile; the result must

@@ -38,11 +38,11 @@ impl Drop for Armed {
 fn conv_worker_thread_spans_merge_into_one_stream() {
     let _gate = gate();
     let _armed = Armed::new();
-    // Geometry from the determinism gate: per-sample backward GEMMs
-    // clear par::PAR_MIN_WORK, so at 4 threads the 8 samples really
+    // Geometry from the determinism gate: the per-sample backward work
+    // clears par::PAR_MIN_WORK, so at 4 threads the 8 samples really
     // land on ephemeral worker threads. (The fused forward records one
-    // caller-thread span; the backward pass still runs per-sample
-    // gemm_at_b/gemm_a_bt kernels inside the workers.)
+    // caller-thread span; the fused backward records a conv_bwd_data
+    // and a conv_bwd_filter span per sample inside the workers.)
     let (n, c, hw, oc, k) = (8, 8, 32, 16, 3);
     assert!(oc * (c * k * k) * (hw * hw) >= par::PAR_MIN_WORK);
     let mut rng = SeededRng::new(0x7AC3);
@@ -55,18 +55,30 @@ fn conv_worker_thread_spans_merge_into_one_stream() {
     par::set_threads(1);
 
     let events = dlbench_trace::take_events();
-    let kernel_tids: BTreeSet<u64> =
-        events.iter().filter(|e| e.cat == Category::Kernel && e.is_span()).map(|e| e.tid).collect();
+    let backward_tids: BTreeSet<u64> = events
+        .iter()
+        .filter(|e| e.cat == Category::Kernel && e.is_span() && e.name.starts_with("conv_bwd_"))
+        .map(|e| e.tid)
+        .collect();
     // The per-sample conv kernels run on scoped worker threads that
     // exit as soon as the backward returns; their ring buffers must
     // have been retired into the shared registry, not lost.
     assert!(
-        kernel_tids.len() >= 2,
-        "expected kernel spans from several worker threads, got tids {kernel_tids:?}"
+        backward_tids.len() >= 2,
+        "expected backward kernel spans from several worker threads, got tids {backward_tids:?}"
     );
-    let gemm_count =
-        events.iter().filter(|e| e.name == "gemm_at_b" || e.name == "gemm_a_bt").count();
-    assert!(gemm_count >= n, "expected at least one gemm span per sample, got {gemm_count}");
+    for kernel in ["conv_bwd_data", "conv_bwd_filter"] {
+        let flops: Vec<u64> = events
+            .iter()
+            .filter(|e| e.name == kernel)
+            .filter_map(|e| match e.kind {
+                EventKind::Span { flops, .. } => Some(flops),
+                _ => None,
+            })
+            .collect();
+        assert!(flops.len() >= n, "expected a {kernel} span per sample, got {}", flops.len());
+        assert!(flops.iter().all(|&f| f > 0), "a {kernel} span carries no FLOPs");
+    }
     // The merged stream is seq-sorted regardless of which thread
     // recorded each event.
     assert!(events.windows(2).all(|w| w[0].seq < w[1].seq), "merged events out of order");
