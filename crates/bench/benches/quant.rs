@@ -23,63 +23,15 @@
 //! runs — check.sh runs it twice and `cmp`s the output.
 
 use dlbench_adversarial::{fgsm, jsma, pgd, FgsmConfig, JsmaConfig, PgdConfig};
-use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
-use dlbench_data::{Dataset, DatasetKind, Preprocessing};
+use dlbench_bench::{attack_row, both_correct, write_report, BenchArgs, BENCH_SEED};
+use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_json::JsonValue;
 use dlbench_nn::Network;
-use dlbench_quant::{cost_split, quantize_checkpoint, QuantConfig, QuantizedNetwork};
+use dlbench_quant::{calibration, calibration_json, cost_split, quantize_checkpoint, QuantConfig};
 use dlbench_simtime::{devices, CostModel};
 use dlbench_tensor::{SeededRng, Tensor};
 use dlbench_trace::Stopwatch;
-
-/// Batched top-1 accuracy of the quantized network over `test` — the
-/// int8 mirror of `trainer::evaluate` (same 100-sample batches, same
-/// preprocessing pipeline).
-fn evaluate_quantized(
-    q: &mut QuantizedNetwork,
-    test: &Dataset,
-    preprocessing: Preprocessing,
-    channel_means: &[f32],
-) -> f32 {
-    let n = test.len();
-    let mut correct = 0usize;
-    let mut start = 0;
-    while start < n {
-        let end = (start + 100).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let (images, labels) = test.gather(&idx);
-        let x = preprocessing.apply(&images, channel_means);
-        let preds = q.forward(&x, false).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        start = end;
-    }
-    correct as f32 / n.max(1) as f32
-}
-
-/// Indices of test samples both models classify correctly on the raw
-/// (attack-domain) images — the eligible pool for transfer crafting.
-fn both_correct(net: &mut Network, q: &mut QuantizedNetwork, test: &Dataset) -> Vec<usize> {
-    let idx: Vec<usize> = (0..test.len()).collect();
-    let (images, labels) = test.gather(&idx);
-    let fp32_preds = net.forward(&images, false).argmax_rows();
-    let int8_preds = q.forward(&images, false).argmax_rows();
-    idx.into_iter().filter(|&i| fp32_preds[i] == labels[i] && int8_preds[i] == labels[i]).collect()
-}
-
-/// fp32-crafted / int8-transferred success rates for one attack, as a
-/// `(fp32_rate, int8_rate, samples)` JSON object.
-fn attack_row(fp32_hits: usize, int8_hits: usize, samples: usize) -> JsonValue {
-    let denom = samples.max(1) as f32;
-    let fp32_rate = fp32_hits as f32 / denom;
-    let int8_rate = int8_hits as f32 / denom;
-    JsonValue::Object(vec![
-        ("samples".into(), samples.into()),
-        ("fp32_success".into(), fp32_rate.into()),
-        ("int8_success".into(), int8_rate.into()),
-        ("delta".into(), (int8_rate - fp32_rate).into()),
-    ])
-}
 
 struct CellRow {
     host: FrameworkKind,
@@ -116,12 +68,8 @@ fn run_cell(
 
     let (train, test) = trainer::generate_data(dataset, scale, seed);
     let preprocessing = trainer::effective_preprocessing(host, &setting, dataset);
-    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-        Preprocessing::channel_means(&train)
-    } else {
-        Vec::new()
-    };
-    let int8_acc = evaluate_quantized(&mut qnet, &test, preprocessing, &channel_means);
+    let channel_means = preprocessing.means_for(&train);
+    let int8_acc = trainer::evaluate(&mut qnet, &test, preprocessing, &channel_means);
 
     // Modeled testing-time ratio: int8 GEMM throughput plus 1-byte
     // activation traffic for quantized layers, fp32 charges elsewhere.
@@ -154,9 +102,8 @@ fn run_cell(
     for &i in &pool[..n_grad] {
         let (x, labels) = test.gather(&[i]);
         let label = labels[0];
-        let transferred = |q: &mut QuantizedNetwork, adv: &Tensor| {
-            q.forward(adv, false).argmax_rows()[0] != label
-        };
+        let transferred =
+            |q: &mut Network, adv: &Tensor| q.forward(adv, false).argmax_rows()[0] != label;
         let r = fgsm(&mut net, &x, label, &fgsm_cfg);
         fgsm_fp32 += usize::from(r.success);
         fgsm_int8 += usize::from(transferred(&mut qnet, &r.adversarial));
@@ -187,8 +134,8 @@ fn run_cell(
         ("speedup_cpu".into(), speedup_cpu.into()),
         ("speedup_gpu".into(), speedup_gpu.into()),
         ("layers".into(), qnet.len().into()),
-        ("layers_quantized".into(), qnet.num_quantized().into()),
-        ("calibration".into(), qnet.calibration_json()),
+        ("layers_quantized".into(), calibration(&qnet).len().into()),
+        ("calibration".into(), calibration_json(&qnet)),
         (
             "attacks".into(),
             JsonValue::Object(vec![

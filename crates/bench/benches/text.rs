@@ -23,11 +23,12 @@
 //! runs — check.sh runs it twice and `cmp`s the output.
 
 use dlbench_adversarial::{fgsm_embedding, pgd_embedding, EmbedAttackConfig, PgdConfig};
-use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
-use dlbench_data::{Dataset, DatasetKind};
+use dlbench_bench::{attack_row, both_correct, write_report, BenchArgs, BENCH_SEED};
+use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, training_defaults, DefaultSetting, FrameworkKind, Scale};
 use dlbench_json::JsonValue;
-use dlbench_quant::{cost_split, quantize_checkpoint, QuantConfig, QuantizedNetwork};
+use dlbench_nn::Network;
+use dlbench_quant::{calibration, calibration_json, cost_split, quantize_checkpoint, QuantConfig};
 use dlbench_simtime::{devices, CostModel};
 use dlbench_tensor::{SeededRng, Tensor};
 use dlbench_trace::Stopwatch;
@@ -35,52 +36,6 @@ use dlbench_trace::Stopwatch;
 /// Network split point for embedding-space attacks: every text
 /// personality puts its embedding layer first.
 const EMBED_SPLIT: usize = 1;
-
-/// Batched top-1 accuracy of the quantized network over `test` — the
-/// int8 mirror of `trainer::evaluate`. Text pipelines are
-/// preprocessing-free, so raw token batches go straight in.
-fn evaluate_quantized(q: &mut QuantizedNetwork, test: &Dataset) -> f32 {
-    let n = test.len();
-    let mut correct = 0usize;
-    let mut start = 0;
-    while start < n {
-        let end = (start + 100).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let (tokens, labels) = test.gather(&idx);
-        let preds = q.forward(&tokens, false).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        start = end;
-    }
-    correct as f32 / n.max(1) as f32
-}
-
-/// Indices of test samples both models classify correctly — the
-/// eligible pool for transfer crafting.
-fn both_correct(
-    net: &mut dlbench_nn::Network,
-    q: &mut QuantizedNetwork,
-    test: &Dataset,
-) -> Vec<usize> {
-    let idx: Vec<usize> = (0..test.len()).collect();
-    let (tokens, labels) = test.gather(&idx);
-    let fp32_preds = net.forward(&tokens, false).argmax_rows();
-    let int8_preds = q.forward(&tokens, false).argmax_rows();
-    idx.into_iter().filter(|&i| fp32_preds[i] == labels[i] && int8_preds[i] == labels[i]).collect()
-}
-
-/// fp32-crafted / int8-transferred success rates for one attack, as a
-/// JSON object.
-fn attack_row(fp32_hits: usize, int8_hits: usize, samples: usize) -> JsonValue {
-    let denom = samples.max(1) as f32;
-    let fp32_rate = fp32_hits as f32 / denom;
-    let int8_rate = int8_hits as f32 / denom;
-    JsonValue::Object(vec![
-        ("samples".into(), samples.into()),
-        ("fp32_success".into(), fp32_rate.into()),
-        ("int8_success".into(), int8_rate.into()),
-        ("delta".into(), (int8_rate - fp32_rate).into()),
-    ])
-}
 
 struct CellRow {
     host: FrameworkKind,
@@ -116,8 +71,11 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
         quantize_checkpoint(host, &setting, dataset, scale, seed, &mut ckpt.as_slice(), &cfg)
             .expect("quantize the fresh checkpoint");
 
+    // Text pipelines pass token ids through, so they need no channel
+    // means.
     let (_, test) = trainer::generate_data(dataset, scale, seed);
-    let int8_acc = evaluate_quantized(&mut qnet, &test);
+    let preprocessing = trainer::effective_preprocessing(host, &setting, dataset);
+    let int8_acc = trainer::evaluate(&mut qnet, &test, preprocessing, &[]);
 
     // Modeled int8 testing-time speedup at the serving batch size.
     let size = scale.image_size(dataset);
@@ -148,8 +106,8 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
     for &i in &pool[..n_attack] {
         let (x, labels) = test.gather(&[i]);
         let label = labels[0];
-        let transferred = |q: &mut QuantizedNetwork, adv: &Tensor| {
-            q.forward_from(EMBED_SPLIT, adv).argmax_rows()[0] != label
+        let transferred = |q: &mut Network, adv: &Tensor| {
+            q.forward_from(EMBED_SPLIT, adv, false).argmax_rows()[0] != label
         };
         let r = fgsm_embedding(&mut net, &x, label, &embed_cfg);
         fgsm_fp32 += usize::from(r.success);
@@ -169,8 +127,8 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
         ("epoch_train_gpu_s".into(), epoch_gpu_s.into()),
         ("speedup_cpu".into(), speedups[0].into()),
         ("speedup_gpu".into(), speedups[1].into()),
-        ("layers_quantized".into(), qnet.num_quantized().into()),
-        ("calibration".into(), qnet.calibration_json()),
+        ("layers_quantized".into(), calibration(&qnet).len().into()),
+        ("calibration".into(), calibration_json(&qnet)),
         (
             "attacks".into(),
             JsonValue::Object(vec![

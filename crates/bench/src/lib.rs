@@ -20,10 +20,15 @@
 //! Every target reads its flags through [`BenchArgs`] and writes into
 //! [`reports_dir`] through [`write_report`]. The timed targets share one
 //! timing loop, [`Harness`], and the kernel perf gate's helpers
-//! ([`load_baseline`], [`gate_failures`], [`merge_best`]).
+//! ([`load_baseline`], [`gate_failures`], [`merge_best`]); `quant` and
+//! `text` share the fp32→int8 transfer helpers ([`both_correct`],
+//! [`attack_row`]).
 
 #![forbid(unsafe_code)]
 
+use dlbench_data::Dataset;
+use dlbench_json::JsonValue;
+use dlbench_nn::Network;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -269,6 +274,31 @@ pub fn merge_best(records: &mut [Record], retry: Vec<Record>) {
             }
         }
     }
+}
+
+/// Indices of `test` samples both networks classify correctly on the
+/// raw (attack-domain) inputs — the eligible pool for transfer crafting
+/// (fp32-crafted examples replayed against the int8 model).
+pub fn both_correct(fp32: &mut Network, int8: &mut Network, test: &Dataset) -> Vec<usize> {
+    let idx: Vec<usize> = (0..test.len()).collect();
+    let (inputs, labels) = test.gather(&idx);
+    let fp32_preds = fp32.forward(&inputs, false).argmax_rows();
+    let int8_preds = int8.forward(&inputs, false).argmax_rows();
+    idx.into_iter().filter(|&i| fp32_preds[i] == labels[i] && int8_preds[i] == labels[i]).collect()
+}
+
+/// fp32-crafted / int8-transferred success rates for one attack over
+/// `samples` crafted examples, as a JSON object.
+pub fn attack_row(fp32_hits: usize, int8_hits: usize, samples: usize) -> JsonValue {
+    let denom = samples.max(1) as f32;
+    let fp32_rate = fp32_hits as f32 / denom;
+    let int8_rate = int8_hits as f32 / denom;
+    JsonValue::Object(vec![
+        ("samples".into(), samples.into()),
+        ("fp32_success".into(), fp32_rate.into()),
+        ("int8_success".into(), int8_rate.into()),
+        ("delta".into(), (int8_rate - fp32_rate).into()),
+    ])
 }
 
 #[cfg(test)]

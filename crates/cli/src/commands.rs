@@ -300,30 +300,6 @@ pub fn train(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Batched top-1 accuracy of a quantized network over `test` — the
-/// int8 mirror of `trainer::evaluate` (same 100-sample batches, same
-/// preprocessing pipeline).
-fn evaluate_quantized(
-    q: &mut dlbench_quant::QuantizedNetwork,
-    test: &dlbench_data::Dataset,
-    preprocessing: dlbench_data::Preprocessing,
-    channel_means: &[f32],
-) -> f32 {
-    let n = test.len();
-    let mut correct = 0usize;
-    let mut start = 0;
-    while start < n {
-        let end = (start + 100).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let (images, labels) = test.gather(&idx);
-        let x = preprocessing.apply(&images, channel_means);
-        let preds = q.forward(&x, false).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        start = end;
-    }
-    correct as f32 / n.max(1) as f32
-}
-
 /// `dlbench quantize`: post-training int8 quantization of one cell.
 ///
 /// Loads an fp32 (v1) or quantized (v2) checkpoint — or trains the cell
@@ -333,8 +309,10 @@ fn evaluate_quantized(
 /// the paper's devices. `--save FILE` writes the quantized network as a
 /// version-2 checkpoint that `serve`/`fleet` adopt bit-for-bit.
 pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
-    use dlbench_data::Preprocessing;
-    use dlbench_quant::{cost_split, quantize_checkpoint, quantize_trained, QuantConfig};
+    use dlbench_quant::{
+        calibration, cost_split, quantize_checkpoint, quantize_trained, to_entries, Int8Layer,
+        QuantConfig,
+    };
     let scale = parse_scale(args.get("scale"))?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
@@ -359,11 +337,7 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
 
     let (train, test) = trainer::generate_data(dataset, scale, seed);
     let preprocessing = trainer::effective_preprocessing(host, &setting, dataset);
-    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-        Preprocessing::channel_means(&train)
-    } else {
-        Vec::new()
-    };
+    let channel_means = preprocessing.means_for(&train);
 
     let mut fp32_acc: Option<f32> = None;
     let mut qnet = match args.get("load") {
@@ -406,16 +380,17 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
         }
     };
 
-    println!("layers          {} ({} quantized to int8)", qnet.len(), qnet.num_quantized());
-    for line in qnet.describe() {
-        println!("  {line}");
+    println!("layers          {} ({} quantized to int8)", qnet.len(), calibration(&qnet).len());
+    for layer in qnet.layers() {
+        let dtype = if layer.as_any().is::<Int8Layer>() { "int8" } else { "fp32 fallback" };
+        println!("  {} ({dtype})", layer.name());
     }
     println!("calibration:");
     println!(
         "  {:<12} {:>21} {:>21} {:>11} {:>4} {:>7}",
         "layer", "observed", "calibrated", "scale", "zp", "clip%"
     );
-    for c in qnet.calibration() {
+    for c in calibration(&qnet) {
         println!(
             "  {:<12} [{:>8.3},{:>8.3}] [{:>8.3},{:>8.3}] {:>11.6} {:>4} {:>6.2}%",
             c.layer,
@@ -429,7 +404,7 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
         );
     }
 
-    let int8_acc = evaluate_quantized(&mut qnet, &test, preprocessing, &channel_means);
+    let int8_acc = trainer::evaluate(&mut qnet, &test, preprocessing, &channel_means);
     match fp32_acc {
         Some(f) => println!(
             "accuracy        fp32 {:.2}%   int8 {:.2}%   (drop {:+.2}pp)",
@@ -465,7 +440,7 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
     }
 
     if let Some(path) = args.get("save") {
-        dlbench_nn::save_quantized_path(&qnet.to_entries(), path)
+        dlbench_nn::save_quantized_path(&to_entries(&mut qnet), path)
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("checkpoint      quantized (v2) written to {path}");
     }
@@ -1145,19 +1120,14 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
         let idx: Vec<usize> = (0..test.len().min(64)).collect();
         let (images, _labels) = test.gather(&idx);
         let preprocessing = trainer::effective_preprocessing(host, &setting, dataset);
-        let channel_means = if preprocessing == dlbench_data::Preprocessing::MeanSubtract {
-            dlbench_data::Preprocessing::channel_means(&train)
-        } else {
-            Vec::new()
-        };
-        let x = preprocessing.apply(&images, &channel_means);
+        let x = preprocessing.apply(&images, &preprocessing.means_for(&train));
         dlbench_trace::configure(TraceConfig::on());
         dlbench_trace::clear();
         let _ = qnet.forward(&x, false);
         let events = dlbench_trace::take_events();
         dlbench_trace::configure(TraceConfig::Off);
-        // The two int8 kernels: `gemm_i8` behind QLinear and the fused
-        // int8 conv behind QConv2d.
+        // The two int8 kernels: `gemm_i8` behind `qlinear` and the fused
+        // int8 conv behind `qconv2d`.
         let counts = check_kernel_spans(&events, &["gemm_i8", "qconv_fused"])
             .map_err(|e| format!("{label}: quantized forward {e}"))?;
         println!("== {label} ==");
@@ -1165,7 +1135,7 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
             "{} spans over a {}-sample int8 forward ({} of {} layers quantized)",
             counts,
             idx.len(),
-            qnet.num_quantized(),
+            dlbench_quant::calibration(&qnet).len(),
             qnet.len()
         );
         let reference =

@@ -64,6 +64,17 @@ impl Preprocessing {
         means.iter().map(|m| m / (n * plane) as f32).collect()
     }
 
+    /// The `channel_means` [`Preprocessing::apply`] needs: the
+    /// per-channel means of `train` under
+    /// [`Preprocessing::MeanSubtract`], empty for every other scheme.
+    pub fn means_for(&self, train: &Dataset) -> Vec<f32> {
+        if *self == Preprocessing::MeanSubtract {
+            Self::channel_means(train)
+        } else {
+            Vec::new()
+        }
+    }
+
     /// Applies the preprocessing to a batch. `channel_means` must be the
     /// training-set means when the scheme is [`Preprocessing::MeanSubtract`]
     /// (ignored otherwise).

@@ -19,7 +19,8 @@ use crate::fleet::Fleet;
 use dlbench_data::{Dataset, Preprocessing};
 use dlbench_dist::{run_dist_training_observed, DistConfig, DistOutcome};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
-use dlbench_serve::{ModelSpec, ServingModel};
+use dlbench_nn::Network;
+use dlbench_serve::ModelSpec;
 use dlbench_tensor::Tensor;
 use dlbench_trace::{span, Category};
 use dlbench_verify::Verifier;
@@ -63,11 +64,7 @@ impl HealthGate {
         let (train, test) = trainer::generate_data(spec.dataset, spec.scale, spec.seed);
         let preprocessing =
             trainer::effective_preprocessing(spec.host, &spec.setting, spec.dataset);
-        let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-            Preprocessing::channel_means(&train)
-        } else {
-            Vec::new()
-        };
+        let channel_means = preprocessing.means_for(&train);
         let (images, labels) = holdout_shard(&test, config.holdout);
         Self { images, labels, preprocessing, channel_means, min_accuracy: config.min_accuracy }
     }
@@ -75,16 +72,14 @@ impl HealthGate {
     /// Screens one candidate model. Returns its holdout accuracy, or
     /// the reason it was rejected.
     ///
-    /// Fp32 candidates run the full parameter verifier first; int8
-    /// candidates (quantized checkpoints on an int8 fleet) have no fp32
-    /// parameter tensors to verify, so the gate rests on the finite-
-    /// logits and accuracy-floor checks — both of which run on the
+    /// Every candidate runs the parameter verifier first. On an int8
+    /// candidate (a quantized checkpoint on an int8 fleet) that covers
+    /// the remaining fp32 layers' parameters — int8 layers hold none —
+    /// and the finite-logits and accuracy-floor checks run on the
     /// quantized network exactly as it will serve.
-    pub fn check(&self, model: &mut ServingModel) -> Result<f32, String> {
+    pub fn check(&self, model: &mut Network) -> Result<f32, String> {
         let _s = span(Category::Fleet, "health_gate");
-        if let Some(net) = model.as_fp32_mut() {
-            Verifier::check_model(net).map_err(|e| format!("model check failed: {e}"))?;
-        }
+        Verifier::check_model(model).map_err(|e| format!("model check failed: {e}"))?;
         let x = self.preprocessing.apply(&self.images, &self.channel_means);
         let logits = model.forward(&x, false);
         if logits.has_non_finite() {
@@ -221,4 +216,27 @@ pub fn dist_training_stream(
         outcome
     });
     (handle, rx)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlbench_serve::ModelDtype;
+
+    #[test]
+    fn int8_candidates_pass_the_verifier_and_the_gate() {
+        let spec = ModelSpec::own_default(
+            "m",
+            FrameworkKind::TensorFlow,
+            DatasetKind::Mnist,
+            Scale::Tiny,
+            42,
+        )
+        .with_dtype(ModelDtype::Int8);
+        let mut served = spec.instantiate(None).unwrap();
+        Verifier::check_model(&mut served.model).unwrap();
+        let gate = HealthGate::new(&spec, HealthGateConfig { min_accuracy: 0.0, holdout: 16 });
+        let accuracy = gate.check(&mut served.model).unwrap();
+        assert!((0.0..=1.0).contains(&accuracy));
+    }
 }

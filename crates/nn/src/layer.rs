@@ -7,25 +7,19 @@ use std::any::Any;
 /// Upcasts a layer (or any `'static` value) to [`std::any::Any`], so
 /// trait objects can be downcast back to their concrete type. The
 /// post-training quantization pass in `dlbench-quant` uses this to
-/// recognize `Linear` and `Conv2d` inside a `Box<dyn Layer>` stack and
-/// swap in int8 counterparts, keeping everything else as an fp32
-/// fallback. The blanket impl means layer implementors never write a
+/// recognize the quantizable layers inside a `Box<dyn Layer>` stack and
+/// replace them with int8 layers in place, and to find those int8
+/// layers again when it reads calibration records or writes a
+/// checkpoint. The blanket impl means layer implementors never write a
 /// line for it.
 pub trait AsAny {
-    /// Borrows the value as [`Any`] (for `is::<T>()` probes).
+    /// Borrows the value as [`Any`] (for `is::<T>()` and
+    /// `downcast_ref::<T>()` probes).
     fn as_any(&self) -> &dyn Any;
-
-    /// Consumes the box, yielding an [`Any`] box that can be
-    /// `downcast::<T>()` into the concrete layer.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl<T: Any> AsAny for T {
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }

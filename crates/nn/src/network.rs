@@ -51,12 +51,13 @@ impl Network {
         &self.layers
     }
 
-    /// Consumes the network, yielding its layer stack. The
-    /// post-training quantization pass uses this (together with
-    /// [`crate::AsAny`]) to take ownership of each layer, downcast the
-    /// quantizable ones and wrap the rest as fp32 fallbacks.
-    pub fn into_layers(self) -> Vec<Box<dyn Layer>> {
-        self.layers
+    /// Mutable access to the layer stack. The post-training
+    /// quantization pass in `dlbench-quant` uses this (together with
+    /// [`crate::AsAny`]) to replace quantizable layers with int8 layers
+    /// in place, and to read every layer's parameters when it writes a
+    /// version-2 checkpoint.
+    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
+        &mut self.layers
     }
 
     /// Runs all layers forward, returning the final output (logits).

@@ -1,14 +1,12 @@
 //! Post-training quantization: calibration passes and checkpoint entry
 //! points.
 
-use crate::layers::{QConv1dBank, QConv2d, QEmbedding, QLayer, QLinear};
-use crate::network::{LayerCalibration, QuantizedNetwork};
+use crate::network::{from_entries, quantizable, Int8Layer, LayerCalibration};
 use crate::observer::RangeObserver;
-use dlbench_data::{DatasetKind, Preprocessing};
+use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_nn::{
-    checkpoint_version, load_parameters, load_quantized, CheckpointError, Conv1dBank, Conv2d,
-    Embedding, Layer, LayerCost, Linear, Network,
+    checkpoint_version, load_parameters, load_quantized, CheckpointError, LayerCost, Network,
 };
 use dlbench_tensor::Tensor;
 use dlbench_trace::{span, Category};
@@ -34,15 +32,6 @@ impl Default for QuantConfig {
     }
 }
 
-/// Whether the quantization pass replaces this layer with an int8
-/// counterpart (everything else stays an fp32 fallback).
-fn quantizable(layer: &dyn Layer) -> bool {
-    layer.as_any().is::<Linear>()
-        || layer.as_any().is::<Conv2d>()
-        || layer.as_any().is::<Embedding>()
-        || layer.as_any().is::<Conv1dBank>()
-}
-
 /// Slices sample `range` out of a `[N, ...]` calibration tensor as its
 /// own batch tensor.
 fn batch_of(calib: &Tensor, range: std::ops::Range<usize>) -> Tensor {
@@ -59,23 +48,22 @@ fn batch_of(calib: &Tensor, range: std::ops::Range<usize>) -> Tensor {
 ///
 /// Two deterministic streaming passes over the shard: the first feeds
 /// every batch through the network layer by layer, folding the inputs
-/// of each quantizable layer into its [`RangeObserver`]; the second
+/// of each quantizable layer into its range observer; the second
 /// replays the stream against the *final* calibrated ranges to count
-/// the fraction of values each quantizer clips. `Linear` and `Conv2d`
-/// layers are then rebuilt as int8 counterparts and everything else is
-/// carried over as an fp32 fallback (requantize-between-layers: each
-/// quantized layer re-quantizes its fp32 input with its own calibrated
-/// quantizer).
+/// the fraction of values each quantizer clips. Each `Linear`,
+/// `Conv2d`, `Embedding` and `Conv1dBank` is then replaced in place by
+/// an [`Int8Layer`] and every other layer stays fp32
+/// (requantize-between-layers: each int8 layer re-quantizes its fp32
+/// input with its own calibrated quantizer).
 ///
 /// # Panics
 ///
 /// Panics if the calibration tensor is empty or its sample shape does
 /// not feed the network.
-pub fn quantize_network(net: Network, calib: &Tensor, cfg: &QuantConfig) -> QuantizedNetwork {
+pub fn quantize_network(mut net: Network, calib: &Tensor, cfg: &QuantConfig) -> Network {
     assert!(calib.rank() >= 2 && calib.shape()[0] > 0, "calibration tensor must be [N, ...]");
     let _s = span(Category::Train, "quantize.calibrate");
-    let name = net.name().to_string();
-    let mut layers = net.into_layers();
+    let layers = net.layers_mut();
     let mut observers: Vec<Option<RangeObserver>> = layers
         .iter()
         .map(|l| quantizable(l.as_ref()).then(|| RangeObserver::new(cfg.percentile, cfg.momentum)))
@@ -113,39 +101,13 @@ pub fn quantize_network(net: Network, calib: &Tensor, cfg: &QuantConfig) -> Quan
         start = end;
     }
 
-    let mut qlayers = Vec::new();
-    let mut calibration = Vec::new();
-    for (li, (layer, obs)) in layers.into_iter().zip(observers).enumerate() {
-        let Some(o) = obs else {
-            qlayers.push(QLayer::Fallback(layer));
-            continue;
-        };
+    for (li, (layer, obs)) in layers.iter_mut().zip(observers).enumerate() {
+        let Some(o) = obs else { continue };
         let (scale, zero_point) = o.affine_params();
         let (observed_min, observed_max) = o.observed();
         let (range_lo, range_hi) = o.range();
-        let label;
-        if layer.as_any().is::<Linear>() {
-            let lin = layer.into_any().downcast::<Linear>().expect("probed as Linear");
-            label = format!("linear[{li}]");
-            qlayers.push(QLayer::Linear(QLinear::from_fp32(&lin, scale, zero_point)));
-        } else if layer.as_any().is::<Conv2d>() {
-            let conv = layer.into_any().downcast::<Conv2d>().expect("probed as Conv2d");
-            label = format!("conv2d[{li}]");
-            qlayers.push(QLayer::Conv2d(QConv2d::from_fp32(&conv, scale, zero_point)));
-        } else if layer.as_any().is::<Embedding>() {
-            // The observer saw token ids, not activations; the lookup
-            // needs no input quantizer, but the calibration record keeps
-            // the observed id range for the report.
-            let emb = layer.into_any().downcast::<Embedding>().expect("probed as Embedding");
-            label = format!("embedding[{li}]");
-            qlayers.push(QLayer::Embedding(QEmbedding::from_fp32(&emb)));
-        } else {
-            let bank = layer.into_any().downcast::<Conv1dBank>().expect("probed as Conv1dBank");
-            label = format!("conv1d_bank[{li}]");
-            qlayers.push(QLayer::Conv1dBank(QConv1dBank::from_fp32(&bank, scale, zero_point)));
-        }
-        calibration.push(LayerCalibration {
-            layer: label,
+        let calibration = LayerCalibration {
+            layer: format!("{}[{li}]", layer.name()),
             observed_min,
             observed_max,
             range_lo,
@@ -153,9 +115,10 @@ pub fn quantize_network(net: Network, calib: &Tensor, cfg: &QuantConfig) -> Quan
             scale,
             zero_point,
             clipped_fraction: clipped[li] as f32 / totals[li].max(1) as f32,
-        });
+        };
+        *layer = Box::new(Int8Layer::from_fp32(layer.as_ref(), calibration));
     }
-    QuantizedNetwork::new(name, qlayers, calibration)
+    net
 }
 
 /// Builds the calibration shard for a cell: the **tail** of its
@@ -163,7 +126,7 @@ pub fn quantize_network(net: Network, calib: &Tensor, cfg: &QuantConfig) -> Quan
 /// unseen), preprocessed with the exact serving pipeline the cell uses.
 /// The data seed is framework-independent, so this reproduces the very
 /// samples the cell trained on.
-pub fn calibration_shard(
+pub(crate) fn calibration_shard(
     host: FrameworkKind,
     setting: &DefaultSetting,
     dataset: DatasetKind,
@@ -177,12 +140,7 @@ pub fn calibration_shard(
     let idx: Vec<usize> = (n - take..n).collect();
     let (images, _labels) = train.gather(&idx);
     let preprocessing = trainer::effective_preprocessing(host, setting, dataset);
-    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-        Preprocessing::channel_means(&train)
-    } else {
-        Vec::new()
-    };
-    preprocessing.apply(&images, &channel_means)
+    preprocessing.apply(&images, &preprocessing.means_for(&train))
 }
 
 /// Quantizes a trained cell model end to end: generates the cell's
@@ -195,17 +153,17 @@ pub fn quantize_trained(
     scale: Scale,
     seed: u64,
     cfg: &QuantConfig,
-) -> QuantizedNetwork {
+) -> Network {
     let shard = calibration_shard(host, setting, dataset, scale, seed, cfg.calib_samples);
     quantize_network(net, &shard, cfg)
 }
 
-/// Builds a [`QuantizedNetwork`] from **any** cell checkpoint stream.
+/// Builds an int8 network from **any** cell checkpoint stream.
 ///
 /// * Version-1 (fp32) checkpoints are loaded into the cell's freshly
 ///   built architecture and calibrated/quantized on the spot.
-/// * Version-2 (quantized) checkpoints are adopted bit-for-bit via
-///   [`QuantizedNetwork::from_entries`] — no re-calibration.
+/// * Version-2 (quantized) checkpoints are adopted bit-for-bit — no
+///   re-calibration.
 ///
 /// All failure modes (wrong magic, truncation, structure mismatch) are
 /// structured [`CheckpointError`]s.
@@ -217,7 +175,7 @@ pub fn quantize_checkpoint(
     seed: u64,
     r: &mut dyn std::io::Read,
     cfg: &QuantConfig,
-) -> Result<QuantizedNetwork, CheckpointError> {
+) -> Result<Network, CheckpointError> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
     match checkpoint_version(&bytes) {
@@ -229,7 +187,7 @@ pub fn quantize_checkpoint(
         Some('2') => {
             let entries = load_quantized(&mut bytes.as_slice())?;
             let net = trainer::build_cell_model(host, setting, dataset, scale, seed);
-            QuantizedNetwork::from_entries(net, &entries)
+            from_entries(net, &entries)
         }
         _ => Err(CheckpointError::BadFormat(
             "not a DLBench checkpoint (unrecognized magic)".to_string(),
@@ -237,24 +195,9 @@ pub fn quantize_checkpoint(
     }
 }
 
-/// [`quantize_checkpoint`] over a checkpoint file.
-#[allow(clippy::too_many_arguments)]
-pub fn quantize_checkpoint_path(
-    host: FrameworkKind,
-    setting: &DefaultSetting,
-    dataset: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    path: impl AsRef<std::path::Path>,
-    cfg: &QuantConfig,
-) -> Result<QuantizedNetwork, CheckpointError> {
-    let mut file = std::fs::File::open(path)?;
-    quantize_checkpoint(host, setting, dataset, scale, seed, &mut file, cfg)
-}
-
 /// Splits a network's inference cost into the part the int8 path
-/// absorbs (`Linear`/`Conv2d`) and the fp32 fallback remainder, for the
-/// analytical int8 serving-time model
+/// absorbs (the layers [`Int8Layer`] replaces) and the fp32 fallback
+/// remainder, for the analytical int8 serving-time model
 /// (`CostModel::inference_seconds_batched_int8`).
 pub fn cost_split(net: &Network, input_shape: &[usize]) -> (LayerCost, LayerCost) {
     let mut shape = input_shape.to_vec();
@@ -275,7 +218,8 @@ pub fn cost_split(net: &Network, input_shape: &[usize]) -> (LayerCost, LayerCost
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlbench_nn::{save_parameters, save_quantized, Initializer};
+    use crate::{calibration, to_entries};
+    use dlbench_nn::{save_parameters, save_quantized, Initializer, Linear};
     use dlbench_tensor::SeededRng;
 
     fn cell() -> (FrameworkKind, DefaultSetting, DatasetKind, Scale, u64) {
@@ -294,9 +238,11 @@ mod tests {
         let mut q = quantize_network(net, &shard, &cfg);
         let y8 = q.forward(&shard, false);
         assert_eq!(y8.shape(), y32.shape());
-        assert!(q.num_quantized() >= 2, "cell models have conv and linear layers");
-        assert_eq!(q.calibration().len(), q.num_quantized());
-        for c in q.calibration() {
+        let names: Vec<&str> = q.layers().iter().map(|l| l.name()).collect();
+        let quantized = names.iter().filter(|n| n.starts_with('q')).count();
+        assert!(quantized >= 2, "cell models have conv and linear layers: {names:?}");
+        assert_eq!(calibration(&q).len(), quantized);
+        for c in calibration(&q) {
             assert!(c.scale > 0.0 && c.scale.is_finite());
             assert!((0.0..=1.0).contains(&c.clipped_fraction), "{c:?}");
             assert!(c.range_lo <= 0.0 && c.range_hi >= 0.0, "{c:?}");
@@ -319,7 +265,7 @@ mod tests {
             quantize_checkpoint(host, &setting, dataset, scale, seed, &mut v1.as_slice(), &cfg)
                 .unwrap();
         let mut v2 = Vec::new();
-        save_quantized(&q1.to_entries(), &mut v2).unwrap();
+        save_quantized(&to_entries(&mut q1), &mut v2).unwrap();
         let mut q2 =
             quantize_checkpoint(host, &setting, dataset, scale, seed, &mut v2.as_slice(), &cfg)
                 .unwrap();
@@ -327,7 +273,7 @@ mod tests {
         let a = q1.forward(&shard, false);
         let b = q2.forward(&shard, false);
         assert!(a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(q1.calibration(), q2.calibration());
+        assert_eq!(calibration(&q1), calibration(&q2));
     }
 
     #[test]
@@ -343,11 +289,11 @@ mod tests {
             quantize_checkpoint(host, &setting, dataset, scale, seed, &mut v1.as_slice(), &cfg)
                 .unwrap();
         // The embedding and the conv bank both land on the int8 path.
-        let names: Vec<String> = q1.describe();
-        assert!(names.iter().any(|n| n.starts_with("qembedding")), "{names:?}");
-        assert!(names.iter().any(|n| n.starts_with("qconv1d_bank")), "{names:?}");
+        let names: Vec<&str> = q1.layers().iter().map(|l| l.name()).collect();
+        assert!(names.contains(&"qembedding"), "{names:?}");
+        assert!(names.contains(&"qconv1d_bank"), "{names:?}");
         let mut v2 = Vec::new();
-        save_quantized(&q1.to_entries(), &mut v2).unwrap();
+        save_quantized(&to_entries(&mut q1), &mut v2).unwrap();
         let mut q2 =
             quantize_checkpoint(host, &setting, dataset, scale, seed, &mut v2.as_slice(), &cfg)
                 .unwrap();
@@ -355,7 +301,7 @@ mod tests {
         let a = q1.forward(&shard, false);
         let b = q2.forward(&shard, false);
         assert!(a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(q1.calibration(), q2.calibration());
+        assert_eq!(calibration(&q1), calibration(&q2));
         // The fp32 network and its quantized twin agree on most rows.
         let y32 = {
             let mut net = trainer::build_cell_model(host, &setting, dataset, scale, seed);
@@ -406,9 +352,41 @@ mod tests {
         net.push(Linear::new(9, 4, Initializer::Xavier, &mut rng));
         let calib = Tensor::randn(&[40, 12], 0.0, 1.0, &mut rng);
         let mut q = quantize_network(net, &calib, &QuantConfig::default());
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.num_quantized(), 2);
+        let names: Vec<&str> = q.layers().iter().map(|l| l.name()).collect();
+        assert_eq!(names, ["qlinear", "relu", "qlinear"]);
+        assert_eq!(calibration(&q).len(), 2);
         let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut rng);
         assert_eq!(q.forward(&x, false).shape(), &[5, 4]);
+    }
+
+    /// FNV-1a over the version-2 checkpoint of a seeded cell's int8
+    /// model.
+    fn v2_digest(host: FrameworkKind, dataset: DatasetKind) -> (u64, usize) {
+        let setting = DefaultSetting::new(host, dataset);
+        let (scale, seed) = (Scale::Tiny, 7);
+        let net = trainer::build_cell_model(host, &setting, dataset, scale, seed);
+        let cfg = QuantConfig { calib_samples: 32, ..QuantConfig::default() };
+        let mut q = quantize_trained(net, host, &setting, dataset, scale, seed, &cfg);
+        let mut bytes = Vec::new();
+        save_quantized(&to_entries(&mut q), &mut bytes).unwrap();
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (digest, bytes.len())
+    }
+
+    /// The round-trip tests only show that the writer and the reader
+    /// agree with each other; these digests pin the bytes themselves,
+    /// so checkpoints written before stay loadable and vice versa.
+    #[test]
+    fn v2_checkpoint_bytes_match_pinned_digests() {
+        assert_eq!(
+            v2_digest(FrameworkKind::TensorFlow, DatasetKind::Mnist),
+            (0x3aea_aa20_d58c_ea12, 44_380)
+        );
+        assert_eq!(
+            v2_digest(FrameworkKind::Torch, DatasetKind::Imdb),
+            (0x4f87_b76a_a9e6_f8d1, 19_752)
+        );
     }
 }

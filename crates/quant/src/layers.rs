@@ -1,7 +1,8 @@
-//! Quantized layer forward paths.
+//! Quantized kernels: the forward paths, shapes and costs behind each
+//! [`crate::Int8Layer`].
 
 use crate::qtensor::QTensor;
-use dlbench_nn::{token_row, Conv1dBank, Conv2d, Embedding, Layer, Linear};
+use dlbench_nn::{token_row, Conv1dBank, Conv2d, Embedding, LayerCost, Linear};
 use dlbench_tensor::{
     conv_forward_fused_i8, gemm_i8, par, quantize_i8, Conv2dGeometry, PackedConvWeight, Tensor,
 };
@@ -29,7 +30,7 @@ fn weight_sums(rows: usize, cols: usize, data: &[i8]) -> Vec<i32> {
 /// both quantized layer kinds), affine int8 input quantization, i32
 /// accumulation, fp32 requantized output.
 #[derive(Debug, Clone)]
-pub struct QLinear {
+pub(crate) struct QLinear {
     in_features: usize,
     out_features: usize,
     /// Weights, transposed to `[in, out]`, symmetric (`zero_point` 0).
@@ -45,7 +46,7 @@ pub struct QLinear {
 impl QLinear {
     /// Quantizes a trained fp32 layer, given its calibrated input
     /// quantizer.
-    pub fn from_fp32(layer: &Linear, act_scale: f32, act_zero_point: i8) -> Self {
+    pub(crate) fn from_fp32(layer: &Linear, act_scale: f32, act_zero_point: i8) -> Self {
         let (inf, outf) = (layer.in_features(), layer.out_features());
         // Transpose [out, in] → [in, out] so the forward GEMM is
         // `x[n, in] @ w_t[in, out]` with unit-stride inner loops.
@@ -68,7 +69,7 @@ impl QLinear {
     ///
     /// Panics if `weight_t` is not rank 2 or the bias length disagrees
     /// with its output dimension.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         weight_t: QTensor,
         bias: Vec<f32>,
         act_scale: f32,
@@ -89,33 +90,36 @@ impl QLinear {
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// The quantized, transposed weight matrix.
-    pub fn weight_t(&self) -> &QTensor {
+    pub(crate) fn weight_t(&self) -> &QTensor {
         &self.weight_t
     }
 
     /// The fp32 biases.
-    pub fn bias(&self) -> &[f32] {
+    pub(crate) fn bias(&self) -> &[f32] {
         &self.bias
     }
 
-    /// The calibrated input quantizer `(scale, zero_point)`.
-    pub fn activation_params(&self) -> (f32, i8) {
-        (self.act_scale, self.act_zero_point)
+    /// Output shape for an `[n, in]` input shape.
+    pub(crate) fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        vec![input_shape[0], self.out_features]
+    }
+
+    /// The forward cost of the fp32 `Linear` this layer replaces.
+    pub(crate) fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        let n = input_shape[0] as u64;
+        let (inf, outf) = (self.in_features as u64, self.out_features as u64);
+        LayerCost {
+            fwd_flops: 2 * n * inf * outf,
+            params: outf * inf + outf,
+            activations: n * outf,
+            fwd_kernels: 2,
+            ..LayerCost::default()
+        }
     }
 
     /// Quantized forward over `[n, in]` inputs.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
+    pub(crate) fn forward(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 2, "QLinear expects [N, in]");
         let n = input.shape()[0];
         assert_eq!(input.shape()[1], self.in_features, "QLinear feature mismatch");
@@ -246,7 +250,7 @@ impl QConv2d {
     /// Panics if the weight shape disagrees with the declared geometry
     /// or the bias length disagrees with the output channel count.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         weight: QTensor,
         bias: Vec<f32>,
         in_channels: usize,
@@ -279,21 +283,6 @@ impl QConv2d {
         }
     }
 
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
-    /// `(kernel, stride, pad)` geometry.
-    pub fn geometry_params(&self) -> (usize, usize, usize) {
-        (self.kernel, self.stride, self.pad)
-    }
-
     /// The quantized `[out_channels, patch_len]` weight matrix.
     pub fn weight(&self) -> &QTensor {
         &self.weight
@@ -304,9 +293,38 @@ impl QConv2d {
         &self.bias
     }
 
-    /// The calibrated input quantizer `(scale, zero_point)`.
-    pub fn activation_params(&self) -> (f32, i8) {
-        (self.act_scale, self.act_zero_point)
+    /// The convolution over one `h × w` input plane.
+    fn geometry(&self, h: usize, w: usize) -> Conv2dGeometry {
+        Conv2dGeometry {
+            in_channels: self.in_channels,
+            in_h: h,
+            in_w: w,
+            kernel_h: self.kernel,
+            kernel_w: self.kernel,
+            stride: self.stride,
+            pad: self.pad,
+        }
+    }
+
+    /// Output shape for an `[N, C, H, W]` input shape.
+    pub(crate) fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        let geo = self.geometry(input_shape[2], input_shape[3]);
+        vec![input_shape[0], self.out_channels, geo.out_h(), geo.out_w()]
+    }
+
+    /// The forward cost of the fp32 `Conv2d` this layer replaces.
+    pub(crate) fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        let n = input_shape[0] as u64;
+        let geo = self.geometry(input_shape[2], input_shape[3]);
+        let (oc, patch, plane) =
+            (self.out_channels as u64, geo.patch_len() as u64, geo.out_plane() as u64);
+        LayerCost {
+            fwd_flops: 2 * n * oc * patch * plane,
+            params: oc * patch + oc,
+            activations: n * oc * plane,
+            fwd_kernels: 3,
+            ..LayerCost::default()
+        }
     }
 
     /// Quantized forward over `[N, C, H, W]` inputs.
@@ -314,15 +332,7 @@ impl QConv2d {
         assert_eq!(input.rank(), 4, "QConv2d expects [N, C, H, W]");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!(c, self.in_channels, "QConv2d channel mismatch");
-        let geo = Conv2dGeometry {
-            in_channels: c,
-            in_h: h,
-            in_w: w,
-            kernel_h: self.kernel,
-            kernel_w: self.kernel,
-            stride: self.stride,
-            pad: self.pad,
-        };
+        let geo = self.geometry(h, w);
         let (oh, ow) = (geo.out_h(), geo.out_w());
         let plane = oh * ow;
         let patch = geo.patch_len();
@@ -381,7 +391,7 @@ impl QConv2d {
 /// bits depend only on the stored table, so batching and thread count
 /// cannot change them.
 #[derive(Debug, Clone)]
-pub struct QEmbedding {
+pub(crate) struct QEmbedding {
     vocab: usize,
     dim: usize,
     /// The `[vocab, dim]` table, symmetric (`zero_point` 0).
@@ -390,7 +400,7 @@ pub struct QEmbedding {
 
 impl QEmbedding {
     /// Quantizes a trained fp32 embedding table.
-    pub fn from_fp32(layer: &Embedding) -> Self {
+    pub(crate) fn from_fp32(layer: &Embedding) -> Self {
         let table =
             QTensor::quantize_symmetric(&[layer.vocab(), layer.dim()], layer.table().data());
         Self::from_parts(table)
@@ -402,31 +412,39 @@ impl QEmbedding {
     /// # Panics
     ///
     /// Panics if `table` is not rank 2 or is empty.
-    pub fn from_parts(table: QTensor) -> Self {
+    pub(crate) fn from_parts(table: QTensor) -> Self {
         assert_eq!(table.shape().len(), 2, "QEmbedding table must be [vocab, dim]");
         let (vocab, dim) = (table.shape()[0], table.shape()[1]);
         assert!(vocab > 0 && dim > 0, "QEmbedding table must be non-empty");
         Self { vocab, dim, table }
     }
 
-    /// Vocabulary size (table rows).
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimension (table columns).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// The quantized `[vocab, dim]` table.
-    pub fn table(&self) -> &QTensor {
+    pub(crate) fn table(&self) -> &QTensor {
         &self.table
+    }
+
+    /// Output shape for an `[N, 1, L, 1]` input shape.
+    pub(crate) fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        vec![input_shape[0], 1, input_shape[2], self.dim]
+    }
+
+    /// The forward cost of the fp32 `Embedding` this layer replaces:
+    /// one flop per copied scalar.
+    pub(crate) fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        let copied = (input_shape[0] * input_shape[2] * self.dim) as u64;
+        LayerCost {
+            fwd_flops: copied,
+            params: (self.vocab * self.dim) as u64,
+            activations: copied,
+            fwd_kernels: 1,
+            ..LayerCost::default()
+        }
     }
 
     /// Quantized lookup over `[N, 1, L, 1]` token ids, producing
     /// `[N, 1, L, dim]` dequantized activations.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
+    pub(crate) fn forward(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 4, "QEmbedding expects [N, 1, L, 1] token ids");
         let (n, c, l, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!((c, w), (1, 1), "QEmbedding expects one token id per position");
@@ -504,7 +522,7 @@ impl QConv1dBank {
     ///
     /// Panics if any branch weight is not `[filters, width·embed_dim]`
     /// shaped or a bias length disagrees with `filters`.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         filters: usize,
         embed_dim: usize,
         branches: Vec<(QTensor, Vec<f32>)>,
@@ -530,23 +548,8 @@ impl QConv1dBank {
         Self { filters, embed_dim, branches, act_scale, act_zero_point }
     }
 
-    /// Filters per branch.
-    pub fn filters(&self) -> usize {
-        self.filters
-    }
-
-    /// Embedding dimension the kernels span.
-    pub fn embed_dim(&self) -> usize {
-        self.embed_dim
-    }
-
-    /// Branch window widths, in branch order.
-    pub fn widths(&self) -> Vec<usize> {
-        self.branches.iter().map(|b| b.width).collect()
-    }
-
     /// Total pooled feature count (`widths.len() · filters`).
-    pub fn out_features(&self) -> usize {
+    fn out_features(&self) -> usize {
         self.branches.len() * self.filters
     }
 
@@ -555,10 +558,26 @@ impl QConv1dBank {
         self.branches.iter().map(|b| (&b.weight, b.bias.as_slice())).collect()
     }
 
-    /// The calibrated input quantizer `(scale, zero_point)` shared by
-    /// all branches.
-    pub fn activation_params(&self) -> (f32, i8) {
-        (self.act_scale, self.act_zero_point)
+    /// Output shape for an `[N, 1, L, E]` input shape.
+    pub(crate) fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        vec![input_shape[0], self.out_features()]
+    }
+
+    /// The forward cost of the fp32 `Conv1dBank` this layer replaces:
+    /// per branch, its `Conv1d` and its max-over-time pooling.
+    pub(crate) fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        let (n, f) = (input_shape[0] as u64, self.filters as u64);
+        self.branches.iter().fold(LayerCost::default(), |total, b| {
+            let plane = (input_shape[2] - b.width + 1) as u64;
+            let patch = (b.width * self.embed_dim) as u64;
+            total.merge(LayerCost {
+                fwd_flops: n * 2 * f * patch * plane + n * f * plane,
+                params: f * patch + f,
+                activations: n * f * plane + n * f,
+                fwd_kernels: 4,
+                ..LayerCost::default()
+            })
+        })
     }
 
     /// Quantized forward over `[N, 1, L, E]` embedded sequences,
@@ -640,55 +659,10 @@ impl QConv1dBank {
     }
 }
 
-/// One layer of a [`crate::QuantizedNetwork`]: a quantized kernel or an
-/// fp32 fallback for ops int8 does not cover (activations, pools,
-/// normalization, dropout).
-pub enum QLayer {
-    /// Quantized fully connected layer.
-    Linear(QLinear),
-    /// Quantized convolution.
-    Conv2d(QConv2d),
-    /// Quantized token-embedding table.
-    Embedding(QEmbedding),
-    /// Quantized sentence-CNN conv bank.
-    Conv1dBank(QConv1dBank),
-    /// Unquantized op running its normal fp32 inference path.
-    Fallback(Box<dyn Layer>),
-}
-
-impl QLayer {
-    /// Runs the layer forward (inference mode).
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        match self {
-            QLayer::Linear(l) => l.forward(input),
-            QLayer::Conv2d(c) => c.forward(input),
-            QLayer::Embedding(e) => e.forward(input),
-            QLayer::Conv1dBank(b) => b.forward(input),
-            QLayer::Fallback(l) => l.forward(input, false),
-        }
-    }
-
-    /// Short human-readable name (mirrors [`Layer::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            QLayer::Linear(_) => "qlinear",
-            QLayer::Conv2d(_) => "qconv2d",
-            QLayer::Embedding(_) => "qembedding",
-            QLayer::Conv1dBank(_) => "qconv1d_bank",
-            QLayer::Fallback(l) => l.name(),
-        }
-    }
-
-    /// Whether this layer runs on the int8 path.
-    pub fn is_quantized(&self) -> bool {
-        !matches!(self, QLayer::Fallback(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlbench_nn::Initializer;
+    use dlbench_nn::{Initializer, Layer};
     use dlbench_tensor::SeededRng;
 
     #[test]
@@ -751,8 +725,7 @@ mod tests {
         let scale = (hi - lo) / 255.0;
         let zp = (-128.0 - lo / scale).round() as i8;
         let q = QConv1dBank::from_fp32(&bank, scale, zp);
-        assert_eq!(q.widths(), vec![2, 3]);
-        assert_eq!(q.out_features(), 6);
+        assert_eq!(q.output_shape(x.shape()), vec![3, 6]);
         let y8 = q.forward(&x);
         assert_eq!(y8.shape(), y32.shape());
         for (a, b) in y32.data().iter().zip(y8.data()) {

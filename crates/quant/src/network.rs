@@ -1,11 +1,13 @@
-//! The quantized network container and its checkpoint mapping.
+//! Int8 layers inside an ordinary [`Network`], and the version-2
+//! checkpoint mapping of a network that carries them.
 
-use crate::layers::{QConv1dBank, QConv2d, QEmbedding, QLayer, QLinear};
+use crate::layers::{QConv1dBank, QConv2d, QEmbedding, QLinear};
 use crate::qtensor::QTensor;
 use dlbench_json::JsonValue;
-use dlbench_nn::{CheckpointError, Conv1dBank, Conv2d, Embedding, Linear, Network, QuantEntry};
+use dlbench_nn::{
+    CheckpointError, Conv1dBank, Conv2d, Embedding, Layer, LayerCost, Linear, Network, QuantEntry,
+};
 use dlbench_tensor::Tensor;
-use dlbench_trace::{span, Category};
 
 /// Calibration record for one quantized layer — what the observer saw
 /// on the calibration shard and the quantizer derived from it. Surfaced
@@ -48,392 +50,339 @@ impl LayerCalibration {
     }
 }
 
-/// An int8 inference network: the quantized counterparts of a trained
-/// [`Network`]'s `Linear`/`Conv2d` layers interleaved with its original
-/// fp32 layers as fallbacks, plus the calibration record each quantizer
-/// came from.
-///
-/// Inference-only: there is no backward pass, and
-/// [`QuantizedNetwork::forward`] rejects training mode.
-pub struct QuantizedNetwork {
-    name: String,
-    layers: Vec<QLayer>,
-    calibration: Vec<LayerCalibration>,
+/// Whether `layer` has an int8 counterpart (everything else stays the
+/// network's own fp32 layer).
+pub(crate) fn quantizable(layer: &dyn Layer) -> bool {
+    let any = layer.as_any();
+    any.is::<Linear>() || any.is::<Conv2d>() || any.is::<Embedding>() || any.is::<Conv1dBank>()
 }
 
-impl QuantizedNetwork {
-    /// Assembles a network from its layers and per-quantized-layer
-    /// calibration records.
+/// The int8 kernel behind one [`Int8Layer`].
+enum Kernel {
+    Linear(QLinear),
+    Conv2d(QConv2d),
+    Embedding(QEmbedding),
+    Conv1dBank(QConv1dBank),
+}
+
+/// The int8 counterpart of a trained `Linear`, `Conv2d`, `Embedding` or
+/// `Conv1dBank`, in place of that layer inside an ordinary [`Network`],
+/// plus the calibration record its input quantizer came from. An int8
+/// model is such a network: it runs through `Network::forward` and
+/// `forward_from` like any other, and its other layers stay fp32.
+///
+/// Inference-only: there is no backward pass, so [`Layer::forward`]
+/// with `train = true` and [`Layer::backward`] panic. The replaced fp32
+/// layer is not kept — a paper-scale model would carry both weight
+/// copies — so shapes and costs come from the int8 geometry; the cost
+/// is the fp32 layer's forward cost, so spans of both dtypes report the
+/// same work.
+pub struct Int8Layer {
+    kernel: Kernel,
+    calibration: LayerCalibration,
+}
+
+impl Int8Layer {
+    /// Quantizes `layer` with the input quantizer of `calibration`.
     ///
     /// # Panics
     ///
-    /// Panics if the calibration count disagrees with the number of
-    /// quantized layers.
-    pub(crate) fn new(
-        name: String,
-        layers: Vec<QLayer>,
-        calibration: Vec<LayerCalibration>,
-    ) -> Self {
-        let quantized = layers.iter().filter(|l| l.is_quantized()).count();
-        assert_eq!(calibration.len(), quantized, "one calibration record per quantized layer");
-        Self { name, layers, calibration }
+    /// Panics unless [`quantizable`] admits `layer`.
+    pub(crate) fn from_fp32(layer: &dyn Layer, calibration: LayerCalibration) -> Self {
+        let (scale, zp) = (calibration.scale, calibration.zero_point);
+        let any = layer.as_any();
+        let kernel = if let Some(l) = any.downcast_ref::<Linear>() {
+            Kernel::Linear(QLinear::from_fp32(l, scale, zp))
+        } else if let Some(c) = any.downcast_ref::<Conv2d>() {
+            Kernel::Conv2d(QConv2d::from_fp32(c, scale, zp))
+        } else if let Some(e) = any.downcast_ref::<Embedding>() {
+            // The observer saw token ids, not activations: the lookup
+            // needs no input quantizer, but the calibration record keeps
+            // the observed id range for the report.
+            Kernel::Embedding(QEmbedding::from_fp32(e))
+        } else if let Some(b) = any.downcast_ref::<Conv1dBank>() {
+            Kernel::Conv1dBank(QConv1dBank::from_fp32(b, scale, zp))
+        } else {
+            panic!("{} has no int8 counterpart", layer.name())
+        };
+        Self { kernel, calibration }
     }
 
-    /// The network's diagnostic name (inherited from the fp32 source).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Number of layers running on the int8 path.
-    pub fn num_quantized(&self) -> usize {
-        self.layers.iter().filter(|l| l.is_quantized()).count()
-    }
-
-    /// Per-quantized-layer calibration records, in layer order.
-    pub fn calibration(&self) -> &[LayerCalibration] {
-        &self.calibration
-    }
-
-    /// The calibration records as a JSON array (the `/metrics` and
-    /// report-fact payload).
-    pub fn calibration_json(&self) -> JsonValue {
-        JsonValue::Array(self.calibration.iter().map(LayerCalibration::to_json).collect())
-    }
-
-    /// One-line-per-layer description, quantized layers marked.
-    pub fn describe(&self) -> Vec<String> {
-        self.layers
-            .iter()
-            .map(|l| {
-                if l.is_quantized() {
-                    format!("{} (int8)", l.name())
-                } else {
-                    format!("{} (fp32 fallback)", l.name())
-                }
-            })
-            .collect()
-    }
-
-    /// Runs all layers forward, returning logits. `train` must be
-    /// `false` — quantized networks are inference-only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `train` is requested.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert!(!train, "quantized networks are inference-only");
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            let _span = span(Category::Layer, layer.name());
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    /// Runs layers `start..` forward on an intermediate activation —
-    /// the int8 counterpart of `Network::forward_from`. The text
-    /// robustness bench uses this to replay embedding-space adversarial
-    /// examples (crafted against the fp32 model) through the quantized
-    /// suffix: the first quantized layer re-quantizes the fp32
-    /// activation with its frozen calibration parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` exceeds the layer count.
-    pub fn forward_from(&mut self, start: usize, input: &Tensor) -> Tensor {
-        assert!(
-            start <= self.layers.len(),
-            "forward_from({start}) on {} layers",
-            self.layers.len()
-        );
-        let mut x = input.clone();
-        for layer in &mut self.layers[start..] {
-            let _span = span(Category::Layer, layer.name());
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    /// Serializes the network as a version-2 checkpoint entry sequence.
-    ///
-    /// Each quantized `Linear`/`Conv2d` layer contributes four entries,
-    /// in order: the `i8` weight tensor (symmetric, carrying the weight
-    /// scale), the `f32` bias, a zero-length `i8` marker carrying the
-    /// activation quantizer (scale + zero point), and an `f32` `[5]`
-    /// statistics tensor (`observed_min`, `observed_max`, `range_lo`,
-    /// `range_hi`, `clipped_fraction`). A quantized `Embedding` uses the
-    /// same group with its table as the weight and a zero-length bias
-    /// (the layer has none). A quantized `Conv1dBank` contributes one
-    /// `(i8 weight, f32 bias)` pair per branch in branch order, then the
-    /// shared activation marker and statistics. Fallback layers
-    /// contribute one plain `f32` entry per parameter, in `params()`
-    /// order.
-    pub fn to_entries(&mut self) -> Vec<QuantEntry> {
-        let mut entries = Vec::new();
-        let mut cal = self.calibration.iter();
-        for layer in &mut self.layers {
-            match layer {
-                QLayer::Linear(l) => {
-                    let c = cal.next().expect("calibration per quantized layer");
-                    let w = l.weight_t();
-                    entries.push(QuantEntry::I8 {
-                        dims: w.shape().to_vec(),
-                        data: w.data().to_vec(),
-                        scale: w.scale,
-                        zero_point: w.zero_point,
-                    });
-                    entries.push(QuantEntry::F32 {
-                        dims: vec![l.bias().len()],
-                        data: l.bias().to_vec(),
-                    });
-                    push_act_and_stats(&mut entries, l.activation_params(), c);
-                }
-                QLayer::Conv2d(cv) => {
-                    let c = cal.next().expect("calibration per quantized layer");
-                    let w = cv.weight();
-                    entries.push(QuantEntry::I8 {
-                        dims: w.shape().to_vec(),
-                        data: w.data().to_vec(),
-                        scale: w.scale,
-                        zero_point: w.zero_point,
-                    });
-                    entries.push(QuantEntry::F32 {
-                        dims: vec![cv.bias().len()],
-                        data: cv.bias().to_vec(),
-                    });
-                    push_act_and_stats(&mut entries, cv.activation_params(), c);
-                }
-                QLayer::Embedding(e) => {
-                    let c = cal.next().expect("calibration per quantized layer");
-                    let t = e.table();
-                    entries.push(QuantEntry::I8 {
-                        dims: t.shape().to_vec(),
-                        data: t.data().to_vec(),
-                        scale: t.scale,
-                        zero_point: t.zero_point,
-                    });
-                    // The table has no bias; a zero-length entry keeps
-                    // the four-entry group shape.
-                    entries.push(QuantEntry::F32 { dims: vec![0], data: vec![] });
-                    // The lookup ignores the input quantizer, but the
-                    // marker still records what the observer derived so
-                    // the calibration report round-trips.
-                    push_act_and_stats(&mut entries, (c.scale, c.zero_point), c);
-                }
-                QLayer::Conv1dBank(bank) => {
-                    let c = cal.next().expect("calibration per quantized layer");
-                    for (w, bias) in bank.branch_parts() {
-                        entries.push(QuantEntry::I8 {
-                            dims: w.shape().to_vec(),
-                            data: w.data().to_vec(),
-                            scale: w.scale,
-                            zero_point: w.zero_point,
-                        });
-                        entries
-                            .push(QuantEntry::F32 { dims: vec![bias.len()], data: bias.to_vec() });
-                    }
-                    push_act_and_stats(&mut entries, bank.activation_params(), c);
-                }
-                QLayer::Fallback(l) => {
-                    for p in l.params() {
-                        entries.push(QuantEntry::F32 {
-                            dims: p.value.shape().to_vec(),
-                            data: p.value.data().to_vec(),
-                        });
-                    }
+    /// Appends this layer's version-2 checkpoint entries (see
+    /// [`to_entries`]).
+    fn push_entries(&self, entries: &mut Vec<QuantEntry>) {
+        match &self.kernel {
+            Kernel::Linear(l) => push_weight(entries, l.weight_t(), l.bias()),
+            Kernel::Conv2d(c) => push_weight(entries, c.weight(), c.bias()),
+            // The table has no bias; a zero-length entry keeps the
+            // four-entry group shape.
+            Kernel::Embedding(e) => push_weight(entries, e.table(), &[]),
+            Kernel::Conv1dBank(b) => {
+                for (weight, bias) in b.branch_parts() {
+                    push_weight(entries, weight, bias);
                 }
             }
         }
-        entries
+        // Every kernel runs with the calibration record's quantizer; the
+        // embedding lookup ignores it, but the marker still records what
+        // the observer derived so the report round-trips.
+        let c = &self.calibration;
+        entries.push(QuantEntry::I8 {
+            dims: vec![0],
+            data: vec![],
+            scale: c.scale,
+            zero_point: c.zero_point,
+        });
+        entries.push(QuantEntry::F32 {
+            dims: vec![5],
+            data: vec![c.observed_min, c.observed_max, c.range_lo, c.range_hi, c.clipped_fraction],
+        });
+    }
+}
+
+impl Layer for Int8Layer {
+    fn name(&self) -> &'static str {
+        match self.kernel {
+            Kernel::Linear(_) => "qlinear",
+            Kernel::Conv2d(_) => "qconv2d",
+            Kernel::Embedding(_) => "qembedding",
+            Kernel::Conv1dBank(_) => "qconv1d_bank",
+        }
     }
 
-    /// Rebuilds a quantized network from a version-2 checkpoint entry
-    /// sequence, validated against the freshly built fp32 architecture
-    /// `arch` (the same network the checkpoint's training cell used).
-    /// Stored int8 weights are adopted bit-for-bit — never re-quantized
-    /// — so a save/load round trip preserves every output bit.
-    ///
-    /// All mismatches (entry count, dtype, shape) are structured
-    /// [`CheckpointError::StructureMismatch`] values, never panics.
-    pub fn from_entries(arch: Network, entries: &[QuantEntry]) -> Result<Self, CheckpointError> {
-        let name = arch.name().to_string();
-        let mut idx = 0usize;
-        let mut next = |what: &str| {
-            let i = idx;
-            idx += 1;
-            entries.get(i).map(|e| (i, e)).ok_or_else(|| {
-                CheckpointError::StructureMismatch(format!(
-                    "checkpoint ended early: expected {what}"
-                ))
-            })
-        };
-        let mut layers = Vec::new();
-        let mut calibration = Vec::new();
-        for (li, layer) in arch.into_layers().into_iter().enumerate() {
-            if layer.as_any().is::<Linear>() {
-                let lin = layer.into_any().downcast::<Linear>().expect("probed as Linear");
-                let label = format!("linear[{li}]");
-                let (weight, bias, act, stats) = read_group(&label, &mut next)?;
-                let want = [lin.in_features(), lin.out_features()];
-                if weight.shape() != want {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: weight shape {:?} != expected {want:?}",
-                        weight.shape()
-                    )));
-                }
-                if bias.len() != lin.out_features() {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: bias length {} != {}",
-                        bias.len(),
-                        lin.out_features()
-                    )));
-                }
-                layers.push(QLayer::Linear(QLinear::from_parts(weight, bias, act.0, act.1)));
-                calibration.push(stats_record(label, act, stats));
-            } else if layer.as_any().is::<Conv2d>() {
-                let conv = layer.into_any().downcast::<Conv2d>().expect("probed as Conv2d");
-                let label = format!("conv2d[{li}]");
-                let (weight, bias, act, stats) = read_group(&label, &mut next)?;
-                let k = conv.kernel();
-                let want = [conv.out_channels(), conv.in_channels() * k * k];
-                if weight.shape() != want {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: weight shape {:?} != expected {want:?}",
-                        weight.shape()
-                    )));
-                }
-                if bias.len() != conv.out_channels() {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: bias length {} != {}",
-                        bias.len(),
-                        conv.out_channels()
-                    )));
-                }
-                layers.push(QLayer::Conv2d(QConv2d::from_parts(
-                    weight,
-                    bias,
-                    conv.in_channels(),
-                    k,
-                    conv.stride(),
-                    conv.pad(),
-                    act.0,
-                    act.1,
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        assert!(!train, "int8 layers are inference-only: {} has no training mode", self.name());
+        match &self.kernel {
+            Kernel::Linear(l) => l.forward(input),
+            Kernel::Conv2d(c) => c.forward(input),
+            Kernel::Embedding(e) => e.forward(input),
+            Kernel::Conv1dBank(b) => b.forward(input),
+        }
+    }
+
+    fn backward(&mut self, _grad_out: &Tensor) -> Tensor {
+        panic!("int8 layers are inference-only: {} has no backward pass", self.name())
+    }
+
+    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        match &self.kernel {
+            Kernel::Linear(l) => l.output_shape(input_shape),
+            Kernel::Conv2d(c) => c.output_shape(input_shape),
+            Kernel::Embedding(e) => e.output_shape(input_shape),
+            Kernel::Conv1dBank(b) => b.output_shape(input_shape),
+        }
+    }
+
+    fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        match &self.kernel {
+            Kernel::Linear(l) => l.cost(input_shape),
+            Kernel::Conv2d(c) => c.cost(input_shape),
+            Kernel::Embedding(e) => e.cost(input_shape),
+            Kernel::Conv1dBank(b) => b.cost(input_shape),
+        }
+    }
+}
+
+/// Per-int8-layer calibration records of `net`, in layer order (empty
+/// for an fp32 network).
+pub fn calibration(net: &Network) -> Vec<&LayerCalibration> {
+    net.layers()
+        .iter()
+        .filter_map(|l| l.as_any().downcast_ref::<Int8Layer>())
+        .map(|l| &l.calibration)
+        .collect()
+}
+
+/// The calibration records of `net` as a JSON array (the `/metrics` and
+/// report-fact payload).
+pub fn calibration_json(net: &Network) -> JsonValue {
+    JsonValue::Array(calibration(net).into_iter().map(LayerCalibration::to_json).collect())
+}
+
+/// Serializes `net` as a version-2 checkpoint entry sequence.
+///
+/// Each int8 `Linear`/`Conv2d` layer contributes four entries, in
+/// order: the `i8` weight tensor (symmetric, carrying the weight
+/// scale), the `f32` bias, a zero-length `i8` marker carrying the
+/// activation quantizer (scale + zero point), and an `f32` `[5]`
+/// statistics tensor (`observed_min`, `observed_max`, `range_lo`,
+/// `range_hi`, `clipped_fraction`). An int8 `Embedding` uses the same
+/// group with its table as the weight and a zero-length bias (the layer
+/// has none). An int8 `Conv1dBank` contributes one `(i8 weight, f32
+/// bias)` pair per branch in branch order, then the shared activation
+/// marker and statistics. Every fp32 layer contributes one plain `f32`
+/// entry per parameter, in `params()` order (which is why this takes
+/// the network mutably).
+pub fn to_entries(net: &mut Network) -> Vec<QuantEntry> {
+    let mut entries = Vec::new();
+    for layer in net.layers_mut() {
+        match layer.as_any().downcast_ref::<Int8Layer>() {
+            Some(q) => q.push_entries(&mut entries),
+            None => entries.extend(layer.params().into_iter().map(|p| QuantEntry::F32 {
+                dims: p.value.shape().to_vec(),
+                data: p.value.data().to_vec(),
+            })),
+        }
+    }
+    entries
+}
+
+/// Rebuilds an int8 network from a version-2 checkpoint entry sequence,
+/// validated against the freshly built fp32 architecture `arch` (the
+/// same network the checkpoint's training cell used): each quantizable
+/// layer is replaced by its stored int8 layer, every other layer loads
+/// its fp32 parameters. Stored int8 weights are adopted bit-for-bit —
+/// never re-quantized — so a save/load round trip preserves every
+/// output bit.
+///
+/// All mismatches (entry count, dtype, shape) are structured
+/// [`CheckpointError::StructureMismatch`] values, never panics.
+pub(crate) fn from_entries(
+    mut arch: Network,
+    entries: &[QuantEntry],
+) -> Result<Network, CheckpointError> {
+    let mut idx = 0usize;
+    let mut next = |what: &str| {
+        let i = idx;
+        idx += 1;
+        entries.get(i).map(|e| (i, e)).ok_or_else(|| {
+            CheckpointError::StructureMismatch(format!("checkpoint ended early: expected {what}"))
+        })
+    };
+    for (li, layer) in arch.layers_mut().iter_mut().enumerate() {
+        let label = format!("{}[{li}]", layer.name());
+        let any = layer.as_any();
+        let (kernel, act, stats) = if let Some(lin) = any.downcast_ref::<Linear>() {
+            let (weight, bias, act, stats) = read_group(&label, &mut next)?;
+            let want = [lin.in_features(), lin.out_features()];
+            if weight.shape() != want {
+                return Err(CheckpointError::StructureMismatch(format!(
+                    "{label}: weight shape {:?} != expected {want:?}",
+                    weight.shape()
                 )));
-                calibration.push(stats_record(label, act, stats));
-            } else if layer.as_any().is::<Embedding>() {
-                let emb = layer.into_any().downcast::<Embedding>().expect("probed as Embedding");
-                let label = format!("embedding[{li}]");
-                let (table, bias, act, stats) = read_group(&label, &mut next)?;
-                let want = [emb.vocab(), emb.dim()];
-                if table.shape() != want {
+            }
+            if bias.len() != lin.out_features() {
+                return Err(CheckpointError::StructureMismatch(format!(
+                    "{label}: bias length {} != {}",
+                    bias.len(),
+                    lin.out_features()
+                )));
+            }
+            (Kernel::Linear(QLinear::from_parts(weight, bias, act.0, act.1)), act, stats)
+        } else if let Some(conv) = any.downcast_ref::<Conv2d>() {
+            let (weight, bias, act, stats) = read_group(&label, &mut next)?;
+            let k = conv.kernel();
+            let want = [conv.out_channels(), conv.in_channels() * k * k];
+            if weight.shape() != want {
+                return Err(CheckpointError::StructureMismatch(format!(
+                    "{label}: weight shape {:?} != expected {want:?}",
+                    weight.shape()
+                )));
+            }
+            if bias.len() != conv.out_channels() {
+                return Err(CheckpointError::StructureMismatch(format!(
+                    "{label}: bias length {} != {}",
+                    bias.len(),
+                    conv.out_channels()
+                )));
+            }
+            let q = QConv2d::from_parts(
+                weight,
+                bias,
+                conv.in_channels(),
+                k,
+                conv.stride(),
+                conv.pad(),
+                act.0,
+                act.1,
+            );
+            (Kernel::Conv2d(q), act, stats)
+        } else if let Some(emb) = any.downcast_ref::<Embedding>() {
+            let (table, bias, act, stats) = read_group(&label, &mut next)?;
+            let want = [emb.vocab(), emb.dim()];
+            if table.shape() != want {
+                return Err(CheckpointError::StructureMismatch(format!(
+                    "{label}: table shape {:?} != expected {want:?}",
+                    table.shape()
+                )));
+            }
+            if !bias.is_empty() {
+                return Err(CheckpointError::StructureMismatch(format!(
+                    "{label}: embeddings have no bias, found {} values",
+                    bias.len()
+                )));
+            }
+            (Kernel::Embedding(QEmbedding::from_parts(table)), act, stats)
+        } else if let Some(bank) = any.downcast_ref::<Conv1dBank>() {
+            let filters = bank.filters();
+            let embed_dim = bank.convs()[0].embed_dim();
+            let mut branches = Vec::new();
+            for (bi, width) in bank.widths().into_iter().enumerate() {
+                let blabel = format!("{label} branch {bi}");
+                let weight = read_i8(&format!("{blabel} int8 weight"), &mut next)?;
+                let want = [filters, width * embed_dim];
+                if weight.shape() != want {
                     return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: table shape {:?} != expected {want:?}",
-                        table.shape()
+                        "{blabel}: weight shape {:?} != expected {want:?}",
+                        weight.shape()
                     )));
                 }
-                if !bias.is_empty() {
+                let bias = read_f32(&format!("{blabel} bias"), &mut next)?;
+                if bias.len() != filters {
                     return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: embeddings have no bias, found {} values",
+                        "{blabel}: bias length {} != {filters}",
                         bias.len()
                     )));
                 }
-                layers.push(QLayer::Embedding(QEmbedding::from_parts(table)));
-                calibration.push(stats_record(label, act, stats));
-            } else if layer.as_any().is::<Conv1dBank>() {
-                let bank = layer.into_any().downcast::<Conv1dBank>().expect("probed as Conv1dBank");
-                let label = format!("conv1d_bank[{li}]");
-                let filters = bank.filters();
-                let embed_dim = bank.convs()[0].embed_dim();
-                let mut branches = Vec::new();
-                for (bi, width) in bank.widths().into_iter().enumerate() {
-                    let blabel = format!("{label} branch {bi}");
-                    let weight = read_i8(&format!("{blabel} int8 weight"), &mut next)?;
-                    let want = [filters, width * embed_dim];
-                    if weight.shape() != want {
-                        return Err(CheckpointError::StructureMismatch(format!(
-                            "{blabel}: weight shape {:?} != expected {want:?}",
-                            weight.shape()
-                        )));
-                    }
-                    let bias = read_f32(&format!("{blabel} bias"), &mut next)?;
-                    if bias.len() != filters {
-                        return Err(CheckpointError::StructureMismatch(format!(
-                            "{blabel}: bias length {} != {filters}",
-                            bias.len()
-                        )));
-                    }
-                    branches.push((weight, bias));
-                }
-                let act = read_act(&label, &mut next)?;
-                let stats = read_stats(&label, &mut next)?;
-                layers.push(QLayer::Conv1dBank(QConv1dBank::from_parts(
-                    filters, embed_dim, branches, act.0, act.1,
-                )));
-                calibration.push(stats_record(label, act, stats));
-            } else {
-                let mut layer = layer;
-                for p in layer.params() {
-                    let (i, e) = next(&format!("fp32 parameter for layer {li}"))?;
-                    match e {
-                        QuantEntry::F32 { dims, data } if dims == p.value.shape() => {
-                            p.value.data_mut().copy_from_slice(data);
-                        }
-                        QuantEntry::F32 { dims, .. } => {
-                            return Err(CheckpointError::StructureMismatch(format!(
-                                "entry {i}: fallback parameter shape {dims:?} != network \
-                                 shape {:?}",
-                                p.value.shape()
-                            )));
-                        }
-                        QuantEntry::I8 { .. } => {
-                            return Err(CheckpointError::StructureMismatch(format!(
-                                "entry {i}: int8 entry where layer {li} expects an fp32 \
-                                 parameter"
-                            )));
-                        }
-                    }
-                }
-                layers.push(QLayer::Fallback(layer));
+                branches.push((weight, bias));
             }
-        }
-        let _ = next;
-        if idx < entries.len() {
-            return Err(CheckpointError::StructureMismatch(format!(
-                "checkpoint has {} trailing entries starting at entry {idx}",
-                entries.len() - idx
-            )));
-        }
-        Ok(Self::new(name, layers, calibration))
+            let act = read_act(&label, &mut next)?;
+            let stats = read_stats(&label, &mut next)?;
+            let q = QConv1dBank::from_parts(filters, embed_dim, branches, act.0, act.1);
+            (Kernel::Conv1dBank(q), act, stats)
+        } else {
+            for p in layer.params() {
+                let (i, e) = next(&format!("fp32 parameter for layer {li}"))?;
+                match e {
+                    QuantEntry::F32 { dims, data } if dims == p.value.shape() => {
+                        p.value.data_mut().copy_from_slice(data);
+                    }
+                    QuantEntry::F32 { dims, .. } => {
+                        return Err(CheckpointError::StructureMismatch(format!(
+                            "entry {i}: fallback parameter shape {dims:?} != network shape {:?}",
+                            p.value.shape()
+                        )));
+                    }
+                    QuantEntry::I8 { .. } => {
+                        return Err(CheckpointError::StructureMismatch(format!(
+                            "entry {i}: int8 entry where layer {li} expects an fp32 parameter"
+                        )));
+                    }
+                }
+            }
+            continue;
+        };
+        *layer = Box::new(Int8Layer { kernel, calibration: stats_record(label, act, stats) });
     }
+    let _ = next;
+    if idx < entries.len() {
+        return Err(CheckpointError::StructureMismatch(format!(
+            "checkpoint has {} trailing entries starting at entry {idx}",
+            entries.len() - idx
+        )));
+    }
+    Ok(arch)
 }
 
-impl std::fmt::Debug for QuantizedNetwork {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QuantizedNetwork")
-            .field("name", &self.name)
-            .field("layers", &self.describe())
-            .finish()
-    }
-}
-
-/// Appends the activation-quantizer marker and statistics entries of
-/// one quantized layer.
-fn push_act_and_stats(entries: &mut Vec<QuantEntry>, act: (f32, i8), c: &LayerCalibration) {
-    entries.push(QuantEntry::I8 { dims: vec![0], data: vec![], scale: act.0, zero_point: act.1 });
-    entries.push(QuantEntry::F32 {
-        dims: vec![5],
-        data: vec![c.observed_min, c.observed_max, c.range_lo, c.range_hi, c.clipped_fraction],
+/// Appends one int8 weight tensor and its fp32 bias.
+fn push_weight(entries: &mut Vec<QuantEntry>, weight: &QTensor, bias: &[f32]) {
+    entries.push(QuantEntry::I8 {
+        dims: weight.shape().to_vec(),
+        data: weight.data().to_vec(),
+        scale: weight.scale,
+        zero_point: weight.zero_point,
     });
+    entries.push(QuantEntry::F32 { dims: vec![bias.len()], data: bias.to_vec() });
 }
 
 /// Builds the calibration record back from a checkpoint's activation
@@ -557,24 +506,16 @@ mod tests {
         }
     }
 
-    fn quantize_by_hand(net: Network) -> QuantizedNetwork {
-        let name = net.name().to_string();
-        let mut layers = Vec::new();
-        let mut calibration = Vec::new();
-        for (li, layer) in net.into_layers().into_iter().enumerate() {
-            if layer.as_any().is::<Linear>() {
-                let lin = layer.into_any().downcast::<Linear>().unwrap();
-                layers.push(QLayer::Linear(QLinear::from_fp32(&lin, 0.0122, -30)));
-                calibration.push(cal(&format!("linear[{li}]")));
-            } else if layer.as_any().is::<Conv2d>() {
-                let conv = layer.into_any().downcast::<Conv2d>().unwrap();
-                layers.push(QLayer::Conv2d(QConv2d::from_fp32(&conv, 0.0122, -30)));
-                calibration.push(cal(&format!("conv2d[{li}]")));
-            } else {
-                layers.push(QLayer::Fallback(layer));
+    /// Replaces every quantizable layer with an int8 layer under one
+    /// fixed input quantizer (no calibration pass).
+    fn quantize_by_hand(mut net: Network) -> Network {
+        for (li, layer) in net.layers_mut().iter_mut().enumerate() {
+            if quantizable(layer.as_ref()) {
+                let c = cal(&format!("{}[{li}]", layer.name()));
+                *layer = Box::new(Int8Layer::from_fp32(layer.as_ref(), c));
             }
         }
-        QuantizedNetwork::new(name, layers, calibration)
+        net
     }
 
     #[test]
@@ -583,31 +524,31 @@ mod tests {
         let mut rng = SeededRng::new(8);
         let x = Tensor::randn(&[2, 1, 8, 8], 0.0, 1.0, &mut rng);
         let before = q.forward(&x, false);
-        let entries = q.to_entries();
-        let mut back = QuantizedNetwork::from_entries(arch(99), &entries).unwrap();
+        let entries = to_entries(&mut q);
+        let mut back = from_entries(arch(99), &entries).unwrap();
         let after = back.forward(&x, false);
         assert!(before.data().iter().zip(after.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(back.num_quantized(), 2);
-        assert_eq!(back.calibration(), q.calibration());
+        assert_eq!(calibration(&back).len(), 2);
+        assert_eq!(calibration(&back), calibration(&q));
     }
 
     #[test]
     fn from_entries_rejects_wrong_architecture_and_truncation() {
         let mut q = quantize_by_hand(arch(31));
-        let entries = q.to_entries();
+        let entries = to_entries(&mut q);
         // Wrong architecture: a different linear width.
         let mut rng = SeededRng::new(1);
         let mut other = Network::new("other");
         other.push(Linear::new(4, 4, Initializer::Xavier, &mut rng));
-        let err = QuantizedNetwork::from_entries(other, &entries).unwrap_err();
+        let err = from_entries(other, &entries).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // Truncated entry list.
-        let err = QuantizedNetwork::from_entries(arch(1), &entries[..3]).unwrap_err();
+        let err = from_entries(arch(1), &entries[..3]).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // Trailing entries.
         let mut extra = entries.clone();
         extra.push(QuantEntry::F32 { dims: vec![1], data: vec![0.0] });
-        let err = QuantizedNetwork::from_entries(arch(1), &extra).unwrap_err();
+        let err = from_entries(arch(1), &extra).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
     }
 
@@ -621,30 +562,6 @@ mod tests {
         net
     }
 
-    fn quantize_text_by_hand(net: Network) -> QuantizedNetwork {
-        let name = net.name().to_string();
-        let mut layers = Vec::new();
-        let mut calibration = Vec::new();
-        for (li, layer) in net.into_layers().into_iter().enumerate() {
-            if layer.as_any().is::<Embedding>() {
-                let emb = layer.into_any().downcast::<Embedding>().unwrap();
-                layers.push(QLayer::Embedding(crate::QEmbedding::from_fp32(&emb)));
-                calibration.push(cal(&format!("embedding[{li}]")));
-            } else if layer.as_any().is::<Conv1dBank>() {
-                let bank = layer.into_any().downcast::<Conv1dBank>().unwrap();
-                layers.push(QLayer::Conv1dBank(crate::QConv1dBank::from_fp32(&bank, 0.0122, -30)));
-                calibration.push(cal(&format!("conv1d_bank[{li}]")));
-            } else if layer.as_any().is::<Linear>() {
-                let lin = layer.into_any().downcast::<Linear>().unwrap();
-                layers.push(QLayer::Linear(QLinear::from_fp32(&lin, 0.0122, -30)));
-                calibration.push(cal(&format!("linear[{li}]")));
-            } else {
-                layers.push(QLayer::Fallback(layer));
-            }
-        }
-        QuantizedNetwork::new(name, layers, calibration)
-    }
-
     fn token_batch() -> Tensor {
         let tokens: Vec<f32> = (0..2 * 7).map(|i| ((i * 13) % 20) as f32).collect();
         Tensor::from_vec(&[2, 1, 7, 1], tokens).unwrap()
@@ -652,21 +569,21 @@ mod tests {
 
     #[test]
     fn text_entries_roundtrip_preserves_every_output_bit() {
-        let mut q = quantize_text_by_hand(text_arch(41));
+        let mut q = quantize_by_hand(text_arch(41));
         let x = token_batch();
         let before = q.forward(&x, false);
-        let entries = q.to_entries();
-        let mut back = QuantizedNetwork::from_entries(text_arch(77), &entries).unwrap();
+        let entries = to_entries(&mut q);
+        let mut back = from_entries(text_arch(77), &entries).unwrap();
         let after = back.forward(&x, false);
         assert!(before.data().iter().zip(after.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(back.num_quantized(), 3);
-        assert_eq!(back.calibration(), q.calibration());
+        assert_eq!(calibration(&back).len(), 3);
+        assert_eq!(calibration(&back), calibration(&q));
     }
 
     #[test]
     fn text_entries_reject_mismatched_tables_and_truncation() {
-        let mut q = quantize_text_by_hand(text_arch(41));
-        let entries = q.to_entries();
+        let mut q = quantize_by_hand(text_arch(41));
+        let entries = to_entries(&mut q);
         // Wrong vocabulary: the target arch's table disagrees.
         let mut rng = SeededRng::new(2);
         let mut other = Network::new("other");
@@ -674,15 +591,15 @@ mod tests {
         other.push(Conv1dBank::new(3, &[2, 3], 6, Initializer::Xavier, &mut rng));
         other.push(Relu::new());
         other.push(Linear::new(6, 2, Initializer::Xavier, &mut rng));
-        let err = QuantizedNetwork::from_entries(other, &entries).unwrap_err();
+        let err = from_entries(other, &entries).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // Truncated mid-bank: the second branch's bias is missing.
-        let err = QuantizedNetwork::from_entries(text_arch(1), &entries[..7]).unwrap_err();
+        let err = from_entries(text_arch(1), &entries[..7]).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // A non-empty embedding bias is rejected (embeddings have none).
         let mut forged = entries.clone();
         forged[1] = QuantEntry::F32 { dims: vec![1], data: vec![0.5] };
-        let err = QuantizedNetwork::from_entries(text_arch(1), &forged).unwrap_err();
+        let err = from_entries(text_arch(1), &forged).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // A bank branch weight with the wrong window width is rejected.
         let mut forged = entries.clone();
@@ -692,24 +609,40 @@ mod tests {
             scale: 0.01,
             zero_point: 0,
         };
-        let err = QuantizedNetwork::from_entries(text_arch(1), &forged).unwrap_err();
+        let err = from_entries(text_arch(1), &forged).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
+    }
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
     }
 
     #[test]
     fn forward_rejects_training_mode() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let msg = panic_message(|| {
             let mut q = quantize_by_hand(arch(31));
-            let x = Tensor::zeros(&[1, 1, 8, 8]);
-            q.forward(&x, true);
-        }));
-        assert!(result.is_err(), "train=true must be rejected");
+            q.forward(&Tensor::zeros(&[1, 1, 8, 8]), true);
+        });
+        assert!(msg.contains("inference-only"), "{msg}");
+    }
+
+    #[test]
+    fn backward_rejects_int8_layers() {
+        let msg = panic_message(|| {
+            let mut q = quantize_by_hand(arch(31));
+            q.forward(&Tensor::zeros(&[1, 1, 8, 8]), false);
+            q.backward(&Tensor::zeros(&[1, 5]));
+        });
+        assert!(msg.contains("inference-only"), "{msg}");
     }
 
     #[test]
     fn calibration_json_carries_all_fields() {
         let q = quantize_by_hand(arch(31));
-        let json = q.calibration_json();
+        let json = calibration_json(&q);
         let text = json.pretty();
         for field in [
             "layer",

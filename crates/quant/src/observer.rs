@@ -12,7 +12,7 @@
 /// `f32::total_cmp` and the EMA folds batches in arrival order, so the
 /// same shard always produces the same quantizer.
 #[derive(Debug, Clone)]
-pub struct RangeObserver {
+pub(crate) struct RangeObserver {
     percentile: f32,
     momentum: f32,
     min: f32,
@@ -20,7 +20,6 @@ pub struct RangeObserver {
     ema_lo: f32,
     ema_hi: f32,
     batches: usize,
-    values: u64,
 }
 
 impl RangeObserver {
@@ -43,7 +42,6 @@ impl RangeObserver {
             ema_lo: 0.0,
             ema_hi: 0.0,
             batches: 0,
-            values: 0,
         }
     }
 
@@ -68,17 +66,6 @@ impl RangeObserver {
             self.ema_hi = self.momentum * self.ema_hi + (1.0 - self.momentum) * hi;
         }
         self.batches += 1;
-        self.values += batch.len() as u64;
-    }
-
-    /// Number of batches folded so far.
-    pub fn batches(&self) -> usize {
-        self.batches
-    }
-
-    /// Number of values folded so far.
-    pub fn values(&self) -> u64 {
-        self.values
     }
 
     /// Absolute (min, max) ever observed. Meaningless before the first

@@ -1,10 +1,14 @@
 //! The quantized tensor container.
 
-use dlbench_tensor::{dequantize_i8, quantize_i8};
+use dlbench_tensor::quantize_i8;
 
 /// An int8 tensor with its affine quantization parameters: a value `q`
 /// represents the real number `scale · (q − zero_point)`. Symmetric
 /// (weight) quantization is the `zero_point = 0` special case.
+///
+/// Not exported: the type is `pub` only because `QConv2d::weight` and
+/// `QConv1dBank::branch_parts` hand it to the kernel tests, which read
+/// its `data` and `scale`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QTensor {
     data: Vec<i8>,
@@ -22,27 +26,22 @@ impl QTensor {
     ///
     /// Panics if the shape's element count disagrees with `data` or the
     /// scale is not finite and positive.
-    pub fn from_parts(shape: &[usize], data: Vec<i8>, scale: f32, zero_point: i8) -> Self {
+    pub(crate) fn from_parts(shape: &[usize], data: Vec<i8>, scale: f32, zero_point: i8) -> Self {
         assert_eq!(shape.iter().product::<usize>(), data.len(), "QTensor shape mismatch");
         assert!(scale.is_finite() && scale > 0.0, "QTensor scale must be finite and positive");
         Self { data, shape: shape.to_vec(), scale, zero_point }
-    }
-
-    /// Quantizes `values` with explicit affine parameters.
-    pub fn quantize(shape: &[usize], values: &[f32], scale: f32, zero_point: i8) -> Self {
-        let mut data = vec![0i8; values.len()];
-        quantize_i8(values, scale, zero_point, &mut data);
-        Self::from_parts(shape, data, scale, zero_point)
     }
 
     /// Symmetric per-tensor quantization: `scale = max|v| / 127`,
     /// `zero_point = 0`. The canonical weight path — symmetric weights
     /// keep the GEMM's zero-point correction to a single per-output
     /// column sum.
-    pub fn quantize_symmetric(shape: &[usize], values: &[f32]) -> Self {
+    pub(crate) fn quantize_symmetric(shape: &[usize], values: &[f32]) -> Self {
         let max_abs = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let scale = (max_abs / 127.0).max(f32::MIN_POSITIVE);
-        Self::quantize(shape, values, scale, 0)
+        let mut data = vec![0i8; values.len()];
+        quantize_i8(values, scale, 0, &mut data);
+        Self::from_parts(shape, data, scale, 0)
     }
 
     /// The quantized values.
@@ -51,38 +50,29 @@ impl QTensor {
     }
 
     /// Tensor shape.
-    pub fn shape(&self) -> &[usize] {
+    pub(crate) fn shape(&self) -> &[usize] {
         &self.shape
-    }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Reconstructs the real values (`scale · (q − zero_point)`).
-    pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.data.len()];
-        dequantize_i8(&self.data, self.scale, self.zero_point, &mut out);
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlbench_tensor::dequantize_i8;
+
+    /// The real values `q` represents (`scale · (q − zero_point)`).
+    fn dequantize(q: &QTensor) -> Vec<f32> {
+        let mut out = vec![0.0f32; q.data.len()];
+        dequantize_i8(&q.data, q.scale, q.zero_point, &mut out);
+        out
+    }
 
     #[test]
     fn symmetric_roundtrip_bounds_error_by_half_lsb() {
         let values = [0.9f32, -1.27, 0.0, 0.63, -0.005];
         let q = QTensor::quantize_symmetric(&[5], &values);
         assert_eq!(q.zero_point, 0);
-        for (x, y) in values.iter().zip(q.dequantize()) {
+        for (x, y) in values.iter().zip(dequantize(&q)) {
             assert!((x - y).abs() <= q.scale * 0.5 + 1e-7);
         }
     }
@@ -91,6 +81,6 @@ mod tests {
     fn all_zero_tensor_quantizes_without_degenerate_scale() {
         let q = QTensor::quantize_symmetric(&[4], &[0.0; 4]);
         assert!(q.scale > 0.0);
-        assert!(q.dequantize().iter().all(|&v| v == 0.0));
+        assert!(dequantize(&q).iter().all(|&v| v == 0.0));
     }
 }

@@ -269,7 +269,8 @@ impl dlbench_core::ServeBackend for HttpServeBackend {
             ModelSpec::own_default("default", cell.host, cell.dataset, cell.scale, cell.seed)
                 .with_dtype(dtype);
         let served = spec.instantiate(None).map_err(|e| e.to_string())?;
-        let calibration = served.model.calibration_json();
+        let calibration =
+            (dtype == ModelDtype::Int8).then(|| dlbench_quant::calibration_json(&served.model));
         let config = BatchConfig {
             max_batch: cell.max_batch,
             max_wait: Duration::from_millis(cell.deadline_ms.round() as u64),

@@ -136,4 +136,8 @@ echo "==> paper-tiny smoke (seed 42, 2 s; seed-42 losses and warm-up bit equalit
 cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
     --workload paper-tiny --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
 
+echo "==> serve-mix smoke (seed 42, 2 s; fp32 and int8 replies bitwise vs local forwards)"
+cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
+    --workload serve-mix --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
+
 echo "==> OK"

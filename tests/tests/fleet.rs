@@ -35,7 +35,7 @@ fn batch_config() -> BatchConfig {
 fn init_checkpoint(seed: u64) -> Vec<u8> {
     let mut served = spec(seed).instantiate(None).unwrap();
     let mut bytes = Vec::new();
-    dlbench_nn::save_parameters(served.model.as_fp32_mut().unwrap(), &mut bytes).unwrap();
+    dlbench_nn::save_parameters(&mut served.model, &mut bytes).unwrap();
     bytes
 }
 
@@ -75,7 +75,7 @@ fn health_gate_rejects_nan_poisoned_checkpoint_and_fleet_keeps_serving() {
         Promoter::new(Arc::clone(&fleet), HealthGateConfig { min_accuracy: 0.0, holdout: 32 });
 
     let mut served = spec(42).instantiate(None).unwrap();
-    let net = served.model.as_fp32_mut().unwrap();
+    let net = &mut served.model;
     net.params()[0].value.data_mut()[0] = f32::NAN;
     let mut poisoned = Vec::new();
     dlbench_nn::save_parameters(net, &mut poisoned).unwrap();

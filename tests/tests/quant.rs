@@ -5,34 +5,14 @@
 use dlbench_data::{DatasetKind, Preprocessing};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_integration_tests::TEST_SEED;
-use dlbench_quant::{quantize_checkpoint, quantize_trained, QuantConfig, QuantizedNetwork};
+use dlbench_nn::{Conv1dBank, Conv2d, Embedding, LayerCost, Linear};
+use dlbench_quant::{
+    calibration, calibration_json, quantize_checkpoint, quantize_trained, to_entries, QuantConfig,
+};
 use dlbench_serve::{
     loadgen, serve, BatchConfig, ModelDtype, ModelRegistry, ModelSpec, ServeError,
 };
 use std::time::Duration;
-
-/// Top-1 accuracy of a quantized network (mirrors `trainer::evaluate`,
-/// which only takes fp32 `Network`s).
-fn evaluate_quantized(
-    q: &mut QuantizedNetwork,
-    data: &dlbench_data::Dataset,
-    preprocessing: Preprocessing,
-    channel_means: &[f32],
-) -> f32 {
-    let mut correct = 0usize;
-    let n = data.len();
-    let mut i = 0;
-    while i < n {
-        let end = (i + 100).min(n);
-        let idx: Vec<usize> = (i..end).collect();
-        let (images, labels) = data.gather(&idx);
-        let x = preprocessing.apply(&images, channel_means);
-        let preds = q.forward(&x, false).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        i = end;
-    }
-    correct as f32 / n.max(1) as f32
-}
 
 fn cell_preprocessing(
     host: FrameworkKind,
@@ -42,12 +22,7 @@ fn cell_preprocessing(
 ) -> (Preprocessing, Vec<f32>) {
     let (train, _) = trainer::generate_data(dataset, scale, TEST_SEED);
     let preprocessing = trainer::effective_preprocessing(host, setting, dataset);
-    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-        Preprocessing::channel_means(&train)
-    } else {
-        Vec::new()
-    };
-    (preprocessing, channel_means)
+    (preprocessing, preprocessing.means_for(&train))
 }
 
 #[test]
@@ -69,7 +44,7 @@ fn int8_accuracy_drop_within_two_points_at_tiny() {
         TEST_SEED,
         &QuantConfig::default(),
     );
-    let int8_acc = evaluate_quantized(&mut q, &test, preprocessing, &channel_means);
+    let int8_acc = trainer::evaluate(&mut q, &test, preprocessing, &channel_means);
 
     let drop_pp = (fp32_acc - int8_acc) * 100.0;
     assert!(
@@ -99,10 +74,10 @@ fn v2_checkpoint_roundtrip_is_bit_identical() {
     let idx: Vec<usize> = (0..8).collect();
     let (images, _) = test.gather(&idx);
     let before: Vec<u32> = q.forward(&images, false).data().iter().map(|v| v.to_bits()).collect();
-    let calibration_before = q.calibration_json().pretty();
+    let calibration_before = calibration_json(&q).pretty();
 
     let mut bytes = Vec::new();
-    dlbench_nn::save_quantized(&q.to_entries(), &mut bytes).unwrap();
+    dlbench_nn::save_quantized(&to_entries(&mut q), &mut bytes).unwrap();
     assert_eq!(dlbench_nn::checkpoint_version(&bytes), Some('2'));
 
     let mut reloaded = quantize_checkpoint(
@@ -120,7 +95,7 @@ fn v2_checkpoint_roundtrip_is_bit_identical() {
     assert_eq!(before, after, "v2 reload must reproduce the exact quantized bits");
     assert_eq!(
         calibration_before,
-        reloaded.calibration_json().pretty(),
+        calibration_json(&reloaded).pretty(),
         "calibration statistics must survive the round-trip"
     );
 }
@@ -132,7 +107,7 @@ fn quantized_model_serves_predictions_and_reports_dtype() {
     let spec = ModelSpec::own_default("m", host, dataset, Scale::Tiny, TEST_SEED)
         .with_dtype(ModelDtype::Int8);
     let served = spec.instantiate(None).unwrap();
-    assert_eq!(served.model.dtype(), ModelDtype::Int8);
+    assert!(!calibration(&served.model).is_empty(), "an int8 spec must serve int8 layers");
 
     let mut registry = ModelRegistry::new();
     let config =
@@ -179,7 +154,7 @@ fn fp32_spec_rejects_quantized_checkpoint_with_structured_error() {
         &QuantConfig::default(),
     );
     let mut bytes = Vec::new();
-    dlbench_nn::save_quantized(&q.to_entries(), &mut bytes).unwrap();
+    dlbench_nn::save_quantized(&to_entries(&mut q), &mut bytes).unwrap();
 
     let spec = ModelSpec::own_default("m", host, dataset, Scale::Tiny, TEST_SEED);
     let err = match spec.instantiate_from(&mut bytes.as_slice()) {
@@ -211,14 +186,16 @@ fn int8_spec_adopts_v1_and_v2_checkpoints() {
 
     // v1 checkpoint: quantize-on-load.
     let mut from_v1 = spec.instantiate_from(&mut v1.as_slice()).unwrap();
-    let q1 = from_v1.model.as_int8_mut().expect("int8 spec must produce a quantized model");
+    let q1 = &mut from_v1.model;
+    assert!(!calibration(q1).is_empty(), "an int8 spec must produce a quantized model");
 
     // v2 checkpoint: adopted bit-for-bit — same bits as the v1-derived
     // quantization it was saved from.
     let mut v2 = Vec::new();
-    dlbench_nn::save_quantized(&q1.to_entries(), &mut v2).unwrap();
+    dlbench_nn::save_quantized(&to_entries(q1), &mut v2).unwrap();
     let mut from_v2 = spec.instantiate_from(&mut v2.as_slice()).unwrap();
-    let q2 = from_v2.model.as_int8_mut().unwrap();
+    let q2 = &mut from_v2.model;
+    assert_eq!(calibration(q1), calibration(q2));
 
     let inputs = loadgen::sample_inputs(dataset, Scale::Tiny, TEST_SEED, 3);
     let (c, h, w) = spec.input_dims();
@@ -228,5 +205,43 @@ fn int8_spec_adopts_v1_and_v2_checkpoints() {
         let a: Vec<u32> = q1.forward(&x, false).data().iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = q2.forward(&x, false).data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b, "v2 adoption must be bit-identical to the source quantization");
+    }
+}
+
+#[test]
+fn int8_network_keeps_fp32_shapes_costs_and_names_in_every_cell() {
+    let cfg = QuantConfig { calib_samples: 16, ..QuantConfig::default() };
+    for host in FrameworkKind::ALL {
+        for dataset in [DatasetKind::Mnist, DatasetKind::Cifar10, DatasetKind::Imdb] {
+            let setting = DefaultSetting::new(host, dataset);
+            let build =
+                || trainer::build_cell_model(host, &setting, dataset, Scale::Tiny, TEST_SEED);
+            let fp32 = build();
+            let int8 =
+                quantize_trained(build(), host, &setting, dataset, Scale::Tiny, TEST_SEED, &cfg);
+            let cell = format!("{} on {}", host.name(), dataset.name());
+            assert_eq!(int8.len(), fp32.len(), "{cell}");
+            let (c, h, w) = trainer::input_dims(dataset, Scale::Tiny.image_size(dataset));
+            let mut shape = vec![3, c, h, w];
+            for (a, b) in fp32.layers().iter().zip(int8.layers()) {
+                let any = a.as_any();
+                let quantized = any.is::<Linear>()
+                    || any.is::<Conv2d>()
+                    || any.is::<Embedding>()
+                    || any.is::<Conv1dBank>();
+                let (name, cost) = if quantized {
+                    // Int8 layers are inference-only: the fp32 forward
+                    // cost, no backward.
+                    let fwd = LayerCost { bwd_flops: 0, bwd_kernels: 0, ..a.cost(&shape) };
+                    (format!("q{}", a.name()), fwd)
+                } else {
+                    (a.name().to_string(), a.cost(&shape))
+                };
+                assert_eq!(b.name(), name, "{cell}");
+                assert_eq!(b.cost(&shape), cost, "{cell}: {name}");
+                assert_eq!(b.output_shape(&shape), a.output_shape(&shape), "{cell}: {name}");
+                shape = a.output_shape(&shape);
+            }
+        }
     }
 }
