@@ -15,8 +15,6 @@
 
 use dlbench_bench::{write_report, BenchArgs};
 use dlbench_core::spec::{self, ExperimentSpec, RunOptions};
-use dlbench_fleet::SimFleetBackend;
-use dlbench_serve::HttpServeBackend;
 use dlbench_trace::Stopwatch;
 
 fn main() {
@@ -45,7 +43,7 @@ fn main() {
 
     let opts = RunOptions { cache_dir: root.join("target/dlbench-cache"), force: false };
     let watch = Stopwatch::start();
-    let run = match spec::run_plan(&plan, &opts, Some(&HttpServeBackend), Some(&SimFleetBackend)) {
+    let run = match spec::run_plan(&plan, &opts) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("{path}: {e}");

@@ -134,7 +134,7 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
     let trace = trace_start(args);
     let mut runner = BenchmarkRunner::new(scale, seed);
     if verify {
-        runner.set_guard(std::sync::Arc::new(dlbench_verify::Verifier::new()));
+        runner.set_guard(std::sync::Arc::new(dlbench_frameworks::Verifier::new()));
     }
     let ids: Vec<ExperimentId> = if args.positionals.is_empty() {
         ExperimentId::ALL.to_vec()
@@ -161,11 +161,8 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
             print!("{}", report.render_bars());
         }
         if args.flag("json") {
-            std::fs::create_dir_all(out_dir)
-                .map_err(|e| format!("cannot create {out_dir}: {e}"))?;
             let path = format!("{out_dir}/{}.json", id.key());
-            std::fs::write(&path, report.to_json())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            write_text_file(&path, &report.to_json())?;
             println!("  [json written to {path}]");
         }
     }
@@ -690,11 +687,7 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
         let max_batch = args.get_parsed("max-batch", 8usize)?;
         let doc = loadgen::sweep_personalities(scale, seed, &deadlines, requests, rate, max_batch);
         let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_serve.json");
-        if let Some(dir) = std::path::Path::new(out).parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-        std::fs::write(out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
+        write_text_file(out, &doc.pretty())?;
         println!("[serve sweep written to {out}]");
         return Ok(());
     }
@@ -1261,9 +1254,8 @@ pub fn dist_train(args: &ParsedArgs) -> Result<(), String> {
     }
     if args.flag("json") {
         let out_dir = args.get("out").unwrap_or("target/dlbench-reports");
-        std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
         let path = format!("{out_dir}/dist_train.json");
-        std::fs::write(&path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_text_file(&path, &report.to_json())?;
         println!("  [json written to {path}]");
     }
     if let Some(path) = args.get("save") {
@@ -1292,12 +1284,7 @@ pub fn run_spec(args: &ParsedArgs) -> Result<(), String> {
     let cache_dir = args.get("cache-dir").unwrap_or("target/dlbench-cache");
     let opts = RunOptions { cache_dir: cache_dir.into(), force: args.flag("force") };
     let trace = trace_start(args);
-    let run = spec::run_plan(
-        &plan,
-        &opts,
-        Some(&dlbench_serve::HttpServeBackend),
-        Some(&dlbench_fleet::SimFleetBackend),
-    )?;
+    let run = spec::run_plan(&plan, &opts)?;
     trace_finish(trace)?;
     for report in spec::aggregate_reports(&run) {
         println!("{}", report.render());

@@ -16,6 +16,10 @@
 //! * [`registry`] — enumerates the experiments (`fig1` … `table_ix`) so
 //!   harnesses can run "everything the paper reports".
 //! * [`report`] — paper-style ASCII rendering plus JSON export.
+//! * [`spec`] — declarative run-spec grids expanded into content-hashed,
+//!   cached cells. Core sits above every engine it orchestrates, so each
+//!   cell runs by a direct call: the trainer, the data-parallel driver,
+//!   the `dlbench-serve` HTTP tier or the `dlbench-fleet` simulator.
 //!
 //! ## Example
 //!
@@ -42,8 +46,8 @@ pub mod runner;
 pub mod spec;
 
 pub use dist::dist_report;
-pub use metrics::{CellMetrics, Histogram, HistogramSummary};
+pub use metrics::CellMetrics;
 pub use registry::ExperimentId;
 pub use report::ExperimentReport;
 pub use runner::BenchmarkRunner;
-pub use spec::{ExperimentSpec, FleetBackend, Plan, ServeBackend, SpecRun};
+pub use spec::{ExperimentSpec, Plan, SpecRun};

@@ -51,7 +51,7 @@ pub struct BenchmarkRunner {
     /// is a prerequisite for content-hashed cell caching.
     cache: BTreeMap<TrainKey, trainer::TrainOutcome>,
     /// Invariant guard invoked at each training epoch boundary
-    /// (`--verify` installs `dlbench_verify::Verifier` here).
+    /// (`--verify` installs `dlbench_frameworks::Verifier` here).
     guard: Option<Arc<dyn trainer::TrainGuard>>,
     /// Cached targeted-attack campaign (Figure 9 and Tables VIII/IX
     /// share it).

@@ -2,10 +2,11 @@
 //! benchmark cross-product (framework personality, default setting,
 //! dataset, device, world size, serving deadline…) expands into a
 //! deterministic *plan* of cells, each identified by a content hash of
-//! its fully-resolved parameters. `run_plan` executes the plan through
-//! the cached [`BenchmarkRunner`] / distributed driver / serving
-//! backend, persisting every finished cell to an on-disk cache so an
-//! interrupted sweep resumes instead of retraining.
+//! its fully-resolved parameters. `run_plan` executes each cell on its
+//! engine — the cached [`BenchmarkRunner`], the distributed driver, the
+//! HTTP serving tier or the fleet simulator — persisting every finished
+//! cell to an on-disk cache so an interrupted sweep resumes instead of
+//! retraining.
 //!
 //! Grammar, interpolation rules, hashing and cache layout are
 //! documented in `DESIGN.md` §11.
@@ -15,11 +16,15 @@ use crate::report::ExperimentReport;
 use crate::runner::{BenchmarkRunner, TrainKey};
 use dlbench_data::DatasetKind;
 use dlbench_dist::{run_dist_training, DistConfig, Strategy};
+use dlbench_fleet::{simulate_fleet, RoutingPolicy, SimFleetConfig};
 use dlbench_frameworks::{DefaultSetting, FrameworkKind, Scale};
-use dlbench_json::{self as json, JsonValue};
+use dlbench_json::{self as json, JsonValue, ToJson};
+use dlbench_serve::loadgen::{sample_inputs, serve_and_drive};
+use dlbench_serve::{BatchConfig, LoadConfig, LoadMode, ModelDtype, ModelSpec};
 use dlbench_simtime::{devices, Device};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// Format tag written into every cache entry and result document, and
 /// salted into every cell hash. Bump it to invalidate all caches when
@@ -44,6 +49,10 @@ pub enum CellKindTag {
 }
 
 impl CellKindTag {
+    /// Every kind, in spec-grammar order.
+    const ALL: [CellKindTag; 4] =
+        [CellKindTag::Train, CellKindTag::Dist, CellKindTag::Serve, CellKindTag::Fleet];
+
     /// Spec-file spelling of the kind.
     pub fn name(self) -> &'static str {
         match self {
@@ -65,48 +74,13 @@ impl CellKindTag {
     }
 }
 
-/// Every parameter key any kind understands. Axis, override and
-/// default keys are validated against this list at parse time so a
-/// typo fails loudly instead of silently not varying anything.
-const KNOWN_KEYS: &[&str] = &[
-    "dataset",
-    "deadline_ms",
-    "device",
-    "framework",
-    "max_batch",
-    "max_steps",
-    "quantize",
-    "rate_rps",
-    "replicas",
-    "requests",
-    "routing",
-    "scale",
-    "seed",
-    "setting_dataset",
-    "setting_owner",
-    "strategy",
-    "target_p99_ms",
-    "workers",
-];
-
-/// Keys that only make sense on a fleet grid. Writing one on another
-/// grid's axes/overrides is a structured error (see
-/// [`ExperimentSpec::parse`]) instead of the usual silent per-kind
-/// filtering, because a sweep author who varies `routing` on a serve
-/// grid would otherwise get N identical cells and a duplicate-cell
-/// error that names the wrong problem.
-const FLEET_ONLY_KEYS: &[&str] = &["replicas", "routing", "target_p99_ms"];
-
-/// Keys that only make sense on serving-side grids (serve and fleet).
-/// Writing one on a train or dist grid is a structured error for the
-/// same reason as [`FLEET_ONLY_KEYS`]: varying `quantize` on a train
-/// grid would silently produce N identical cells, and the resulting
-/// duplicate-cell error names the wrong problem.
-const SERVING_ONLY_KEYS: &[&str] = &["quantize"];
-
-/// Parameter keys meaningful for each kind. Cells only keep (and
-/// hash) the keys their kind understands, so a shared default like
-/// `device` does not pollute dist/serve cell identities.
+/// Parameter keys each kind takes: the grammar's one key rule. The
+/// known keys are their union, so a typo fails at parse time. A key in
+/// a grid's own `axes`/`overrides` must be one its kind takes, else the
+/// spec is rejected naming the kinds that do (a `routing` axis on a
+/// serve grid would otherwise expand into N identical cells). Keys in
+/// `defaults` filter silently, so a shared default like `device` does
+/// not pollute dist/serve cell identities.
 fn keys_for(kind: CellKindTag) -> &'static [&'static str] {
     match kind {
         CellKindTag::Train => {
@@ -202,16 +176,37 @@ fn scalar_map(context: &str, v: &JsonValue) -> Result<BTreeMap<String, String>, 
     Ok(out)
 }
 
-fn check_known_keys(
+/// Applies the key rule of [`keys_for`] to written keys: unknown keys
+/// always fail, and with a grid `kind` so do keys that kind does not
+/// take.
+fn check_keys(
     context: &str,
+    kind: Option<CellKindTag>,
     keys: impl Iterator<Item = impl AsRef<str>>,
 ) -> Result<(), String> {
     for k in keys {
         let k = k.as_ref();
-        if !KNOWN_KEYS.contains(&k) {
+        let takers: Vec<&str> = CellKindTag::ALL
+            .into_iter()
+            .filter(|&t| keys_for(t).contains(&k))
+            .map(CellKindTag::name)
+            .collect();
+        if takers.is_empty() {
+            let known: BTreeSet<&str> =
+                CellKindTag::ALL.into_iter().flat_map(keys_for).copied().collect();
+            let known: Vec<&str> = known.into_iter().collect();
             return Err(format!(
                 "{context}: unknown parameter `{k}` (known: {})",
-                KNOWN_KEYS.join(", ")
+                known.join(", ")
+            ));
+        }
+        if let Some(kind) = kind.filter(|&kind| !keys_for(kind).contains(&k)) {
+            return Err(format!(
+                "{context}: parameter `{k}` only applies to {} grids, but this grid is kind \
+                 `{}`; move it to a {} grid or drop it",
+                takers.join(" and "),
+                kind.name(),
+                takers.join(" or "),
             ));
         }
     }
@@ -258,7 +253,7 @@ impl ExperimentSpec {
         if grids.is_empty() {
             return Err("spec declares no grids".into());
         }
-        check_known_keys("defaults", defaults.keys())?;
+        check_keys("defaults", None, defaults.keys())?;
         let vars = resolve_vars(vars)?;
         Ok(ExperimentSpec { name, vars, defaults, grids })
     }
@@ -304,35 +299,9 @@ impl ExperimentSpec {
         if axes.is_empty() {
             return Err(format!("{context} declares no axes"));
         }
-        check_known_keys(&context, axes.iter().map(|(k, _)| k.as_str()))?;
-        check_known_keys(&context, overrides.keys())?;
-        if kind != CellKindTag::Fleet {
-            let written =
-                axes.iter().map(|(k, _)| k.as_str()).chain(overrides.keys().map(String::as_str));
-            for k in written {
-                if FLEET_ONLY_KEYS.contains(&k) {
-                    return Err(format!(
-                        "{context}: parameter `{k}` only applies to fleet grids, but this \
-                         grid is kind `{}`; move it to a fleet grid or drop it",
-                        kind.name()
-                    ));
-                }
-            }
-        }
-        if matches!(kind, CellKindTag::Train | CellKindTag::Dist) {
-            let written =
-                axes.iter().map(|(k, _)| k.as_str()).chain(overrides.keys().map(String::as_str));
-            for k in written {
-                if SERVING_ONLY_KEYS.contains(&k) {
-                    return Err(format!(
-                        "{context}: parameter `{k}` only applies to serve and fleet grids \
-                         (inference-side quantization), but this grid is kind `{}`; move it \
-                         to a serve or fleet grid or drop it",
-                        kind.name()
-                    ));
-                }
-            }
-        }
+        let written =
+            axes.iter().map(|(k, _)| k.as_str()).chain(overrides.keys().map(String::as_str));
+        check_keys(&context, Some(kind), written)?;
         axes.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(GridSpec { kind, axes, overrides })
     }
@@ -522,88 +491,6 @@ pub struct DistCellSpec {
     pub max_steps: Option<usize>,
 }
 
-/// A fully-resolved serving cell, executed by a [`ServeBackend`].
-#[derive(Debug, Clone)]
-pub struct ServeCellSpec {
-    /// Host personality of the served model.
-    pub host: FrameworkKind,
-    /// Dataset the model was trained on.
-    pub dataset: DatasetKind,
-    /// Training scale for the backing model.
-    pub scale: Scale,
-    /// Master seed.
-    pub seed: u64,
-    /// Latency deadline in milliseconds.
-    pub deadline_ms: f64,
-    /// Micro-batching cap.
-    pub max_batch: usize,
-    /// Number of requests the load generator issues.
-    pub requests: usize,
-    /// Open-loop arrival rate (requests/second).
-    pub rate_rps: f64,
-    /// Serving dtype, canonical spelling (`fp32` or `int8`). Kept as a
-    /// string because `dlbench-core` cannot depend on `dlbench-serve`;
-    /// the backend re-parses it into `ModelDtype`.
-    pub quantize: String,
-}
-
-/// A fully-resolved fleet cell, executed by a [`FleetBackend`]
-/// (simulated routing/autoscaling sweep at one arrival rate).
-#[derive(Debug, Clone)]
-pub struct FleetCellSpec {
-    /// Host personality of the served model.
-    pub host: FrameworkKind,
-    /// Dataset the model was trained on.
-    pub dataset: DatasetKind,
-    /// Training scale for the backing model.
-    pub scale: Scale,
-    /// Master seed.
-    pub seed: u64,
-    /// Fixed replica count (autoscaling off in spec cells, so the cell
-    /// hash fully determines the fleet shape).
-    pub replicas: usize,
-    /// Routing policy, canonical spelling (`rr`, `least-queue`,
-    /// `batch-aware`). Kept as a string because `dlbench-core` cannot
-    /// depend on `dlbench-fleet`; the backend re-parses it.
-    pub routing: String,
-    /// Latency SLO the fleet holds (milliseconds).
-    pub target_p99_ms: f64,
-    /// Micro-batching cap per replica.
-    pub max_batch: usize,
-    /// Number of simulated requests.
-    pub requests: usize,
-    /// Open-loop arrival rate (requests/second).
-    pub rate_rps: f64,
-    /// Serving dtype, canonical spelling (`fp32` or `int8`); see
-    /// [`ServeCellSpec::quantize`].
-    pub quantize: String,
-}
-
-/// Canonicalizes a serving-dtype spelling. Mirrors
-/// `dlbench_serve::ModelDtype::parse` (core cannot call it);
-/// `tests/tests/spec.rs` pins the two lists together.
-fn canonical_quantize(s: &str) -> Result<&'static str, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "fp32" | "f32" | "float32" => Ok("fp32"),
-        "int8" | "i8" => Ok("int8"),
-        other => Err(format!("unknown quantize mode `{other}` (expected fp32|int8)")),
-    }
-}
-
-/// Canonicalizes a routing-policy spelling. Mirrors
-/// `dlbench_fleet::RoutingPolicy::parse` (core cannot call it);
-/// `tests/tests/spec.rs` pins the two lists together.
-fn canonical_routing(s: &str) -> Result<&'static str, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "rr" | "round-robin" | "roundrobin" => Ok("rr"),
-        "least-queue" | "leastqueue" | "lq" => Ok("least-queue"),
-        "batch-aware" | "batchaware" | "ba" => Ok("batch-aware"),
-        other => {
-            Err(format!("unknown routing policy `{other}` (expected rr|least-queue|batch-aware)"))
-        }
-    }
-}
-
 /// The typed payload a plan cell dispatches on.
 #[derive(Debug, Clone)]
 pub enum CellPayload {
@@ -611,10 +498,18 @@ pub enum CellPayload {
     Train(TrainCellSpec),
     /// Data-parallel training.
     Dist(DistCellSpec),
-    /// Online serving.
-    Serve(ServeCellSpec),
-    /// Multi-replica fleet simulation.
-    Fleet(FleetCellSpec),
+    /// Online serving: one model on the HTTP tier under open-loop load.
+    Serve {
+        /// The served model (personality, dataset, scale, seed, dtype).
+        model: ModelSpec,
+        /// Micro-batching cap and flush deadline.
+        batch: BatchConfig,
+        /// Arrival rate and request count.
+        load: LoadConfig,
+    },
+    /// Multi-replica fleet simulation at one arrival rate (autoscaling
+    /// off, so the cell hash fully determines the fleet shape).
+    Fleet(SimFleetConfig),
 }
 
 fn framework_name(fw: FrameworkKind) -> &'static str {
@@ -657,6 +552,21 @@ impl<'a> Params<'a> {
         self.get(key)
             .map(|s| s.parse::<usize>().map_err(|_| format!("`{key}` is not an integer: `{s}`")))
             .transpose()
+    }
+
+    /// `quantize` (default `fp32`), parsed by the serving crate.
+    fn dtype(&self) -> Result<ModelDtype, String> {
+        let raw = self.get("quantize").unwrap_or("fp32");
+        ModelDtype::parse(raw)
+            .ok_or_else(|| format!("unknown quantize mode `{raw}` (expected fp32|int8)"))
+    }
+
+    /// `routing` (default `least-queue`), parsed by the fleet crate.
+    fn routing(&self) -> Result<RoutingPolicy, String> {
+        let raw = self.get("routing").unwrap_or("least-queue");
+        RoutingPolicy::parse(raw).ok_or_else(|| {
+            format!("unknown routing policy `{raw}` (expected rr|least-queue|batch-aware)")
+        })
     }
 
     fn f64(&self, key: &str) -> Result<Option<f64>, String> {
@@ -781,35 +691,32 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
             if rate_rps <= 0.0 {
                 return Err("`rate_rps` must be positive".into());
             }
-            let quantize = canonical_quantize(p.get("quantize").unwrap_or("fp32"))?;
+            let dtype = p.dtype()?;
             canonical.insert("deadline_ms".to_string(), fmt_num(deadline_ms));
             canonical.insert("max_batch".to_string(), max_batch.to_string());
             canonical.insert("requests".to_string(), requests.to_string());
             canonical.insert("rate_rps".to_string(), fmt_num(rate_rps));
-            canonical.insert("quantize".to_string(), quantize.to_string());
+            canonical.insert("quantize".to_string(), dtype.name().to_string());
             let label = format!(
                 "{} on {} (deadline {}ms, {})",
                 host.name(),
                 dataset.name(),
                 fmt_num(deadline_ms),
-                quantize
+                dtype.name()
             );
-            let cell = ServeCellSpec {
-                host,
-                dataset,
-                scale,
-                seed,
-                deadline_ms,
+            let model =
+                ModelSpec::own_default("default", host, dataset, scale, seed).with_dtype(dtype);
+            let batch = BatchConfig {
                 max_batch,
-                requests,
-                rate_rps,
-                quantize: quantize.to_string(),
+                max_wait: Duration::from_millis(deadline_ms.round() as u64),
+                ..BatchConfig::default()
             };
-            (CellPayload::Serve(cell), label)
+            let load = LoadConfig { mode: LoadMode::Open { rate_rps }, requests };
+            (CellPayload::Serve { model, batch, load }, label)
         }
         CellKindTag::Fleet => {
             let replicas = p.usize("replicas")?.unwrap_or(2).max(1);
-            let routing = canonical_routing(p.get("routing").unwrap_or("least-queue"))?;
+            let policy = p.routing()?;
             let target_p99_ms = p.f64("target_p99_ms")?.unwrap_or(50.0);
             if target_p99_ms <= 0.0 {
                 return Err("`target_p99_ms` must be positive".into());
@@ -820,37 +727,36 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
             if rate_rps <= 0.0 {
                 return Err("`rate_rps` must be positive".into());
             }
-            let quantize = canonical_quantize(p.get("quantize").unwrap_or("fp32"))?;
+            let dtype = p.dtype()?;
             canonical.insert("replicas".to_string(), replicas.to_string());
-            canonical.insert("routing".to_string(), routing.to_string());
+            canonical.insert("routing".to_string(), policy.name().to_string());
             canonical.insert("target_p99_ms".to_string(), fmt_num(target_p99_ms));
             canonical.insert("max_batch".to_string(), max_batch.to_string());
             canonical.insert("requests".to_string(), requests.to_string());
             canonical.insert("rate_rps".to_string(), fmt_num(rate_rps));
-            canonical.insert("quantize".to_string(), quantize.to_string());
+            canonical.insert("quantize".to_string(), dtype.name().to_string());
             let label = format!(
                 "{} on {} x{} {} @ {}rps ({})",
                 host.name(),
                 dataset.name(),
                 replicas,
-                routing,
+                policy.name(),
                 fmt_num(rate_rps),
-                quantize
+                dtype.name()
             );
-            let cell = FleetCellSpec {
+            let cfg = SimFleetConfig {
                 host,
                 dataset,
                 scale,
                 seed,
+                policy,
                 replicas,
-                routing: routing.to_string(),
-                target_p99_ms,
                 max_batch,
-                requests,
-                rate_rps,
-                quantize: quantize.to_string(),
+                target_p99_ms,
+                dtype,
+                ..SimFleetConfig::new(rate_rps, requests)
             };
-            (CellPayload::Fleet(cell), label)
+            (CellPayload::Fleet(cfg), label)
         }
     };
     let hash = cell_hash(kind, &canonical);
@@ -987,24 +893,6 @@ fn store_cell(dir: &Path, cell: &PlanCell, result: &JsonValue) -> Result<(), Str
 // Execution
 // ---------------------------------------------------------------------
 
-/// Executes serve cells. Defined as a trait because `dlbench-core`
-/// cannot depend on `dlbench-serve` (serve depends on core); the CLI
-/// injects an implementation backed by the real HTTP tier.
-pub trait ServeBackend {
-    /// Runs one serving cell and returns its result document.
-    fn run_serve(&self, cell: &ServeCellSpec) -> Result<JsonValue, String>;
-}
-
-/// Executes fleet cells. Same injection pattern as [`ServeBackend`]:
-/// `dlbench-core` cannot depend on `dlbench-fleet`, so the CLI
-/// provides an implementation backed by the simtime fleet simulator.
-pub trait FleetBackend {
-    /// Runs one fleet cell and returns its result document. The result
-    /// must exclude wall-clock fields so cached and fresh runs agree
-    /// byte-for-byte.
-    fn run_fleet(&self, cell: &FleetCellSpec) -> Result<JsonValue, String>;
-}
-
 /// Options for [`run_plan`].
 pub struct RunOptions {
     /// Directory holding `<hash>.json` cell entries.
@@ -1048,12 +936,7 @@ pub struct SpecRun {
 /// once; uncached trainings prefetch in chunks of the configured
 /// thread count, and every chunk's cells persist before the next chunk
 /// starts, so a killed sweep loses at most one chunk of work.
-pub fn run_plan(
-    plan: &Plan,
-    opts: &RunOptions,
-    serve: Option<&dyn ServeBackend>,
-    fleet: Option<&dyn FleetBackend>,
-) -> Result<SpecRun, String> {
+pub fn run_plan(plan: &Plan, opts: &RunOptions) -> Result<SpecRun, String> {
     std::fs::create_dir_all(&opts.cache_dir)
         .map_err(|e| format!("creating cache dir {}: {e}", opts.cache_dir.display()))?;
     let mut results: Vec<Option<(JsonValue, bool)>> = Vec::with_capacity(plan.cells.len());
@@ -1104,18 +987,8 @@ pub fn run_plan(
         let result = match &cell.payload {
             CellPayload::Train(_) => unreachable!("train misses handled above"),
             CellPayload::Dist(d) => dist_result(d)?,
-            CellPayload::Serve(s) => {
-                let backend = serve.ok_or_else(|| {
-                    "spec contains serve cells but no serve backend is available".to_string()
-                })?;
-                backend.run_serve(s)?
-            }
-            CellPayload::Fleet(f) => {
-                let backend = fleet.ok_or_else(|| {
-                    "spec contains fleet cells but no fleet backend is available".to_string()
-                })?;
-                backend.run_fleet(f)?
-            }
+            CellPayload::Serve { model, batch, load } => serve_result(model, *batch, load)?,
+            CellPayload::Fleet(cfg) => simulate_fleet(cfg).to_json(),
         };
         store_cell(&opts.cache_dir, cell, &result)?;
         results[i] = Some((result, false));
@@ -1195,6 +1068,27 @@ fn dist_result(cell: &DistCellSpec) -> Result<JsonValue, String> {
         ("bytes_per_step".into(), (out.comm.bytes_per_step as f64).into()),
         ("sims".into(), sims),
     ]))
+}
+
+/// Result document for a serve cell: the serving dtype and (for int8)
+/// the calibration stats the load report cannot know, then the load
+/// report itself. Its `wall_s`, `achieved_rps` and `latency_ms` are
+/// wall-clock measurements, so unlike the other kinds a re-run differs.
+fn serve_result(
+    model: &ModelSpec,
+    batch: BatchConfig,
+    load: &LoadConfig,
+) -> Result<JsonValue, String> {
+    let inputs = sample_inputs(model.dataset, model.scale, model.seed, 16);
+    let (report, calibration) = serve_and_drive(model, batch, &inputs, load)?;
+    let mut members = vec![("dtype".to_string(), JsonValue::from(model.dtype.name()))];
+    if let Some(stats) = calibration {
+        members.push(("calibration".to_string(), stats));
+    }
+    if let JsonValue::Object(rest) = report.to_json() {
+        members.extend(rest);
+    }
+    Ok(JsonValue::Object(members))
 }
 
 // ---------------------------------------------------------------------
@@ -1457,8 +1351,10 @@ mod tests {
         let CellPayload::Dist(d) = &plan.cells[1].payload else { panic!("dist cell") };
         assert_eq!((d.workers, d.max_steps), (2, Some(5)));
         assert_eq!(d.strategy.name(), "ring");
-        let CellPayload::Serve(s) = &plan.cells[2].payload else { panic!("serve cell") };
-        assert_eq!((s.requests, s.max_batch), (16, 8));
+        let CellPayload::Serve { batch, load, .. } = &plan.cells[2].payload else {
+            panic!("serve cell")
+        };
+        assert_eq!((load.requests, batch.max_batch), (16, 8));
         // Serve cells ignore inapplicable defaults and fill their own.
         assert_eq!(plan.cells[2].params["rate_rps"], "200");
     }
@@ -1549,6 +1445,32 @@ mod tests {
         }"#;
         let err = ExperimentSpec::parse(on_train).unwrap_err();
         assert!(err.contains("`replicas`") && err.contains("`train`"), "{err}");
+        // Every kind follows the one key rule: a dist-only override on a
+        // train grid and a train-only axis on a serve grid fail the same
+        // way, naming the kinds that take the key, instead of a silently
+        // dropped override or a duplicate-cell error.
+        let workers_on_train = r#"{
+            "name": "bad3",
+            "defaults": {"framework": "tf", "dataset": "mnist"},
+            "grids": [{"kind": "train", "axes": {"device": ["cpu"]},
+                       "overrides": {"workers": 4}}]
+        }"#;
+        let err = ExperimentSpec::parse(workers_on_train).unwrap_err();
+        assert!(
+            err.contains(
+                "parameter `workers` only applies to dist grids, but this grid is kind `train`"
+            ),
+            "{err}"
+        );
+        let device_on_serve = r#"{
+            "name": "bad4",
+            "defaults": {"framework": "tf", "dataset": "mnist"},
+            "grids": [{"kind": "serve", "axes": {"device": ["cpu", "gpu"]},
+                       "overrides": {"deadline_ms": 50}}]
+        }"#;
+        let err = ExperimentSpec::parse(device_on_serve).unwrap_err();
+        assert!(err.contains("parameter `device` only applies to train grids"), "{err}");
+        assert!(err.contains("`serve`"), "{err}");
         // As a shared *default* the key stays silently filtered — only
         // grid-local axes/overrides are a structured error.
         let as_default = r#"{

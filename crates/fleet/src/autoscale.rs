@@ -1,7 +1,7 @@
 //! Queue-depth / p99-driven autoscaling as a pure state machine.
 //!
 //! The autoscaler never touches replicas itself: it observes a
-//! [`FleetSignal`] each tick and returns a [`ScaleDecision`] for the
+//! `FleetSignal` each tick and returns a `ScaleDecision` for the
 //! caller (the fleet simulator, or an operator loop around a real
 //! [`crate::Fleet`]) to act on. Keeping it pure makes the hysteresis
 //! behaviour unit-testable and the simulated sweeps bit-reproducible —
@@ -61,7 +61,7 @@ impl AutoscaleConfig {
     /// cell whose arrivals span milliseconds of sim-time would end
     /// before the first cooldown expired, so the simulator scales the
     /// constants to the window (never above the defaults).
-    pub fn for_window(window_s: f64) -> Self {
+    pub(crate) fn for_window(window_s: f64) -> Self {
         let w = window_s.max(1e-3);
         Self { warmup_s: (w / 100.0).min(0.5), cooldown_s: (w / 25.0).min(2.0), ..Self::default() }
     }
@@ -69,7 +69,7 @@ impl AutoscaleConfig {
 
 /// What the autoscaler observes each tick.
 #[derive(Debug, Clone, Copy)]
-pub struct FleetSignal {
+pub(crate) struct FleetSignal {
     /// Replicas currently provisioned (including warming ones).
     pub replicas: usize,
     /// Of those, how many are still warming (not yet taking traffic).
@@ -87,7 +87,7 @@ pub struct FleetSignal {
 /// The autoscaler's verdict for one tick. `Up`/`Down` carry the new
 /// *total* replica count to provision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleDecision {
+pub(crate) enum ScaleDecision {
     /// No change.
     Hold,
     /// Scale up to this many replicas.
@@ -98,7 +98,7 @@ pub enum ScaleDecision {
 
 /// Hysteresis state between ticks.
 #[derive(Debug)]
-pub struct Autoscaler {
+pub(crate) struct Autoscaler {
     config: AutoscaleConfig,
     hot_run: usize,
     cold_run: usize,
@@ -110,11 +110,6 @@ impl Autoscaler {
     /// streak completes (no initial cooldown).
     pub fn new(config: AutoscaleConfig) -> Self {
         Self { config, hot_run: 0, cold_run: 0, last_action_s: f64::NEG_INFINITY }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.config
     }
 
     /// Observes one tick and decides. `now_s` is the caller's clock

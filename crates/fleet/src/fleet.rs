@@ -1,4 +1,4 @@
-//! The replica fleet: N hot-swappable replicas behind a [`Router`].
+//! The replica fleet: N hot-swappable replicas behind a `Router`.
 //!
 //! Every replica serves the same model bits (rebuilt from the same
 //! checkpoint stream), so routing and scaling are latency/throughput
@@ -140,12 +140,12 @@ impl Fleet {
     }
 
     /// Live replica count.
-    pub fn replica_count(&self) -> usize {
+    pub(crate) fn replica_count(&self) -> usize {
         self.snapshot().len()
     }
 
     /// `(replica id, outstanding)` pairs, in id order.
-    pub fn queue_depths(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn queue_depths(&self) -> Vec<(usize, usize)> {
         self.snapshot().iter().map(|r| (r.id(), r.queue_depth())).collect()
     }
 

@@ -3,7 +3,7 @@
 //! A multi-replica serving fleet over `dlbench-serve`, closing the
 //! ROADMAP's planet-scale serving loop: N hot-swappable
 //! [`MicroBatcher`](dlbench_serve::MicroBatcher) replicas behind a
-//! pluggable [`Router`], a queue-depth/p99-driven [`Autoscaler`], and
+//! pluggable `Router`, a queue-depth/p99-driven `Autoscaler`, and
 //! health-gated promotion of rolling checkpoints from a *live*
 //! `dist-train` run into serving.
 //!
@@ -25,7 +25,7 @@
 //! * the **simulated fleet** ([`sim::simulate_fleet`]) swaps each
 //!   forward for its `dlbench-simtime` cost, so heavy-tailed open-loop
 //!   load can sweep arrival rates to millions-of-users scale in bounded
-//!   wall-clock (`BENCH_fleet.json`); [`SimFleetBackend`] runs run-spec
+//!   wall-clock (`BENCH_fleet.json`); `dlbench-core` runs run-spec
 //!   fleet cells on it.
 //!
 //! Determinism contract: predictions are bitwise identical across
@@ -46,12 +46,9 @@ pub mod replica;
 pub mod router;
 pub mod sim;
 
-pub use autoscale::{AutoscaleConfig, Autoscaler, FleetSignal, ScaleDecision};
+pub use autoscale::AutoscaleConfig;
 pub use fleet::{Fleet, FleetConfig, FleetPrediction};
 pub use load::{drive, drive_until, FleetLoadReport};
-pub use promote::{
-    dist_training_stream, Candidate, HealthGate, HealthGateConfig, Promoter, PromotionOutcome,
-};
-pub use replica::Replica;
-pub use router::{ReplicaView, Router, RoutingPolicy};
-pub use sim::{fleet_sweep_doc, simulate_fleet, SimFleetBackend, SimFleetConfig, SimFleetReport};
+pub use promote::{dist_training_stream, Candidate, HealthGateConfig, Promoter, PromotionOutcome};
+pub use router::RoutingPolicy;
+pub use sim::{fleet_sweep_doc, simulate_fleet, SimFleetConfig, SimFleetReport};

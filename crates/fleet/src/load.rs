@@ -7,9 +7,8 @@
 //! simulator ([`crate::sim`]) instead.
 
 use crate::fleet::Fleet;
-use dlbench_core::{Histogram, HistogramSummary};
 use dlbench_json::{JsonValue, ToJson};
-use dlbench_serve::ServeError;
+use dlbench_serve::{Histogram, HistogramSummary, ServeError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

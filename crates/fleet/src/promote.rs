@@ -5,7 +5,7 @@
 //! [`dist_training_stream`]) and decides, per candidate, whether the
 //! fleet hot-swaps to it:
 //!
-//! 1. **Finite parameters** — `dlbench_verify::Verifier::check_model`
+//! 1. **Finite parameters** — `dlbench_frameworks::Verifier::check_model`
 //!    rejects NaN/Inf-poisoned checkpoints outright.
 //! 2. **Finite logits** — a forward pass over a held-out shard must
 //!    produce finite outputs.
@@ -18,12 +18,11 @@
 use crate::fleet::Fleet;
 use dlbench_data::{Dataset, Preprocessing};
 use dlbench_dist::{run_dist_training_observed, DistConfig, DistOutcome};
-use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
+use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale, Verifier};
 use dlbench_nn::Network;
 use dlbench_serve::ModelSpec;
 use dlbench_tensor::Tensor;
 use dlbench_trace::{span, Category};
-use dlbench_verify::Verifier;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,7 +47,7 @@ impl Default for HealthGateConfig {
 
 /// The candidate screen: finite parameters, finite logits on a holdout
 /// shard, and an accuracy floor.
-pub struct HealthGate {
+pub(crate) struct HealthGate {
     images: Tensor,
     labels: Vec<usize>,
     preprocessing: Preprocessing,

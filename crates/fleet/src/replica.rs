@@ -17,7 +17,7 @@ use std::sync::{Arc, RwLock};
 
 /// A single serving replica whose batcher can be hot-swapped to a new
 /// model version without dropping requests.
-pub struct Replica {
+pub(crate) struct Replica {
     id: usize,
     slot: RwLock<Arc<MicroBatcher>>,
     config: BatchConfig,

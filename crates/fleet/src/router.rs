@@ -1,7 +1,7 @@
 //! Pluggable request routing across replicas.
 //!
-//! A [`Router`] picks one replica per request from a slice of
-//! [`ReplicaView`]s — the point-in-time facts the balancer is allowed
+//! A `Router` picks one replica per request from a slice of
+//! `ReplicaView`s — the point-in-time facts the balancer is allowed
 //! to see (outstanding depth, batch capacity, availability). Routing is
 //! a *placement* decision only: every replica serves the same model
 //! bits, so any policy produces bit-identical predictions and differs
@@ -60,7 +60,7 @@ impl std::fmt::Display for RoutingPolicy {
 /// What the router may observe about one replica when placing a
 /// request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaView {
+pub(crate) struct ReplicaView {
     /// Stable replica id (tie-break key; survives scaling).
     pub id: usize,
     /// Outstanding requests: queued plus riding an in-flight batch
@@ -76,7 +76,7 @@ pub struct ReplicaView {
 /// A routing policy plus the mutable cursor round-robin needs. Safe to
 /// share across request threads; `route` never blocks.
 #[derive(Debug)]
-pub struct Router {
+pub(crate) struct Router {
     policy: RoutingPolicy,
     next: AtomicUsize,
 }
@@ -85,11 +85,6 @@ impl Router {
     /// A router applying `policy`.
     pub fn new(policy: RoutingPolicy) -> Self {
         Self { policy, next: AtomicUsize::new(0) }
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
     }
 
     /// Picks the index (into `views`) of the replica to receive the

@@ -2,8 +2,8 @@
 //!
 //! The real fleet ([`crate::Fleet`]) runs actual forward passes, which
 //! caps how much load a test box can generate. This simulator keeps the
-//! *control plane* real — the same [`Router`] policies and the same
-//! [`Autoscaler`] state machine — but replaces each replica's forward
+//! *control plane* real — the same `Router` policies and the same
+//! `Autoscaler` state machine — but replaces each replica's forward
 //! pass with its simtime cost (`CostModel::inference_seconds_batched`
 //! over the personality network's [`LayerCost`]), so a heavy-tailed
 //! open-loop arrival process can sweep rates up to millions-of-users
@@ -16,13 +16,11 @@
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler, FleetSignal, ScaleDecision};
 use crate::router::{ReplicaView, Router, RoutingPolicy};
-use dlbench_core::spec::FleetCellSpec;
-use dlbench_core::{Histogram, HistogramSummary};
 use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_json::{JsonValue, ToJson};
 use dlbench_quant::cost_split;
-use dlbench_serve::ModelDtype;
+use dlbench_serve::{Histogram, HistogramSummary, ModelDtype};
 use dlbench_simtime::{devices, CostModel, SimClock};
 use dlbench_tensor::SeededRng;
 use std::cmp::Reverse;
@@ -576,29 +574,6 @@ pub fn fleet_sweep_doc(
         ("rates_rps".into(), JsonValue::Array(rates.iter().map(|&r| JsonValue::from(r)).collect())),
         ("rows".into(), JsonValue::Array(rows)),
     ])
-}
-
-/// Executes a run-spec's fleet cells through [`simulate_fleet`]: pure
-/// sim-time, so cached and fresh results agree byte-for-byte.
-pub struct SimFleetBackend;
-
-impl dlbench_core::FleetBackend for SimFleetBackend {
-    fn run_fleet(&self, cell: &FleetCellSpec) -> Result<JsonValue, String> {
-        let mut cfg = SimFleetConfig::new(cell.rate_rps, cell.requests);
-        cfg.host = cell.host;
-        cfg.dataset = cell.dataset;
-        cfg.scale = cell.scale;
-        cfg.seed = cell.seed;
-        cfg.policy = RoutingPolicy::parse(&cell.routing).ok_or_else(|| {
-            format!("unknown routing policy `{}` (rr|least-queue|batch-aware)", cell.routing)
-        })?;
-        cfg.replicas = cell.replicas;
-        cfg.max_batch = cell.max_batch;
-        cfg.target_p99_ms = cell.target_p99_ms;
-        cfg.dtype = ModelDtype::parse(&cell.quantize)
-            .ok_or_else(|| format!("unknown quantize mode `{}` (fp32|int8)", cell.quantize))?;
-        Ok(simulate_fleet(&cfg).to_json())
-    }
 }
 
 #[cfg(test)]

@@ -50,9 +50,11 @@ mod kind;
 mod scale;
 mod spec;
 pub mod trainer;
+mod verifier;
 
 pub use defaults::{arch_defaults, training_defaults, DefaultSetting, Regularizer, TrainingConfig};
 pub use kind::{FrameworkKind, FrameworkMeta};
 pub use scale::Scale;
 pub use spec::{ArchSpec, LayerSpecEntry};
 pub use trainer::{GuardCtx, TrainGuard};
+pub use verifier::Verifier;

@@ -1,7 +1,7 @@
 //! Runtime invariant guards: the [`Verifier`] hook that `--verify`
 //! installs into `BenchmarkRunner`.
 
-use dlbench_frameworks::{GuardCtx, TrainGuard};
+use crate::trainer::{GuardCtx, TrainGuard};
 use dlbench_nn::Network;
 
 /// Production invariant guard, checked at every training epoch

@@ -23,9 +23,13 @@
 //!   `std::net::TcpListener` with `/predict/<model>`, `/healthz` and
 //!   `/metrics` endpoints. Overload sheds with `503` + `Retry-After`
 //!   (never a crash); shutdown drains in-flight requests.
+//! * [`metrics`] holds the per-model [`ServeMetrics`] and the suite's
+//!   shared latency [`Histogram`], which the load generator and the
+//!   fleet simulator use too.
 //! * [`loadgen`] drives a server closed-loop or open-loop (fixed arrival
-//!   rate) and reports client-side p50/p95/p99; [`HttpServeBackend`]
-//!   runs run-spec serve cells that way.
+//!   rate) and reports client-side p50/p95/p99;
+//!   [`loadgen::serve_and_drive`] serves one model on an ephemeral port
+//!   and drives it, which is how run-spec serve cells execute.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,8 +42,8 @@ pub mod model;
 
 pub use batcher::{BatchConfig, MicroBatcher, Prediction};
 pub use http::{serve, RunningServer};
-pub use loadgen::{HttpServeBackend, LoadConfig, LoadMode, LoadReport};
-pub use metrics::ServeMetrics;
+pub use loadgen::{LoadConfig, LoadMode, LoadReport};
+pub use metrics::{Histogram, HistogramSummary, ServeMetrics};
 pub use model::{ModelDtype, ModelRegistry, ModelSpec, ServedModel};
 
 /// Errors surfaced by the serving layer. Each maps onto a well-defined

@@ -1,13 +1,13 @@
 //! Load generation against a running server: a hand-rolled HTTP/1.1
 //! client, closed-loop (fixed concurrency, next request on reply) and
-//! open-loop (fixed arrival rate, independent of replies) drivers, and
-//! the batch-deadline sweep behind `BENCH_serve.json`.
+//! open-loop (fixed arrival rate, independent of replies) drivers,
+//! [`serve_and_drive`] (one model on an ephemeral port, driven and shut
+//! down), and the batch-deadline sweep behind `BENCH_serve.json`.
 
 use crate::batcher::BatchConfig;
+use crate::metrics::Histogram;
 use crate::model::{ModelDtype, ModelRegistry, ModelSpec};
 use crate::ServeError;
-use dlbench_core::spec::ServeCellSpec;
-use dlbench_core::Histogram;
 use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, FrameworkKind, Scale};
 use dlbench_json::JsonValue;
@@ -256,52 +256,25 @@ pub fn sample_inputs(dataset: DatasetKind, scale: Scale, seed: u64, count: usize
     images.data().chunks(sample_len).map(<[f32]>::to_vec).collect()
 }
 
-/// Executes a run-spec's serve cells against the real HTTP tier: the
-/// model serves on an ephemeral port, the open-loop generator drives
-/// it, and the load report becomes the cell result.
-pub struct HttpServeBackend;
-
-impl dlbench_core::ServeBackend for HttpServeBackend {
-    fn run_serve(&self, cell: &ServeCellSpec) -> Result<JsonValue, String> {
-        let dtype = ModelDtype::parse(&cell.quantize)
-            .ok_or_else(|| format!("unknown quantize mode `{}` (fp32|int8)", cell.quantize))?;
-        let spec =
-            ModelSpec::own_default("default", cell.host, cell.dataset, cell.scale, cell.seed)
-                .with_dtype(dtype);
-        let served = spec.instantiate(None).map_err(|e| e.to_string())?;
-        let calibration =
-            (dtype == ModelDtype::Int8).then(|| dlbench_quant::calibration_json(&served.model));
-        let config = BatchConfig {
-            max_batch: cell.max_batch,
-            max_wait: Duration::from_millis(cell.deadline_ms.round() as u64),
-            ..BatchConfig::default()
-        };
-        let mut registry = ModelRegistry::new();
-        registry.register(served, config).map_err(|e| e.to_string())?;
-        let server = crate::http::serve(registry, "127.0.0.1:0")
-            .map_err(|e| format!("cannot bind an ephemeral port: {e}"))?;
-        let inputs = sample_inputs(cell.dataset, cell.scale, cell.seed, 16);
-        let report = run(
-            server.addr(),
-            "default",
-            &inputs,
-            &LoadConfig {
-                mode: LoadMode::Open { rate_rps: cell.rate_rps },
-                requests: cell.requests,
-            },
-        );
-        server.shutdown();
-        // Lead the result with the model facts the load report cannot
-        // know: the serving dtype and (for int8) the calibration stats.
-        let mut members = vec![("dtype".to_string(), JsonValue::from(dtype.name()))];
-        if let Some(stats) = calibration {
-            members.push(("calibration".to_string(), stats));
-        }
-        if let JsonValue::Object(rest) = report.to_json() {
-            members.extend(rest);
-        }
-        Ok(JsonValue::Object(members))
-    }
+/// Serves `spec`'s model alone on an ephemeral port, drives it with
+/// `load` (cycling through `inputs`) and shuts the server down. Returns
+/// the load report and, for int8 models only, the calibration stats.
+pub fn serve_and_drive(
+    spec: &ModelSpec,
+    batch: BatchConfig,
+    inputs: &[Vec<f32>],
+    load: &LoadConfig,
+) -> Result<(LoadReport, Option<JsonValue>), String> {
+    let served = spec.instantiate(None).map_err(|e| e.to_string())?;
+    let calibration =
+        (spec.dtype == ModelDtype::Int8).then(|| dlbench_quant::calibration_json(&served.model));
+    let mut registry = ModelRegistry::new();
+    registry.register(served, batch).map_err(|e| e.to_string())?;
+    let server = crate::http::serve(registry, "127.0.0.1:0")
+        .map_err(|e| format!("cannot bind an ephemeral port: {e}"))?;
+    let report = run(server.addr(), &spec.name, inputs, load);
+    server.shutdown();
+    Ok((report, calibration))
 }
 
 /// Sweeps batch deadlines across the three framework personalities
@@ -322,22 +295,14 @@ pub fn sweep_personalities(
     for fw in FrameworkKind::ALL {
         for &deadline_ms in deadlines_ms {
             let spec = ModelSpec::own_default("sweep", fw, dataset, scale, seed);
-            let served = spec.instantiate(None).expect("fresh model needs no checkpoint");
-            let mut registry = ModelRegistry::new();
             let config = BatchConfig {
                 max_batch,
                 max_wait: Duration::from_millis(deadline_ms),
                 ..BatchConfig::default()
             };
-            registry.register(served, config).expect("fresh registry");
-            let server = crate::http::serve(registry, "127.0.0.1:0").expect("ephemeral bind");
-            let report = run(
-                server.addr(),
-                "sweep",
-                &inputs,
-                &LoadConfig { mode: LoadMode::Open { rate_rps }, requests },
-            );
-            server.shutdown();
+            let load = LoadConfig { mode: LoadMode::Open { rate_rps }, requests };
+            let (report, _) = serve_and_drive(&spec, config, &inputs, &load)
+                .unwrap_or_else(|e| panic!("serve sweep row: {e}"));
             let mut row = vec![
                 ("framework".to_string(), JsonValue::from(fw.name())),
                 ("batch_deadline_ms".to_string(), JsonValue::from(deadline_ms as usize)),

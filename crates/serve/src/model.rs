@@ -272,7 +272,7 @@ impl ModelRegistry {
     /// The `/metrics` document: one snapshot per model, keyed by name.
     /// Each snapshot leads with the model's dtype and — for quantized
     /// models — the per-layer calibration statistics.
-    pub fn metrics_json(&self) -> JsonValue {
+    pub(crate) fn metrics_json(&self) -> JsonValue {
         JsonValue::Object(
             self.entries
                 .iter()

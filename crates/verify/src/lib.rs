@@ -10,8 +10,11 @@
 //!   at `Scale::Tiny` and diffs their JSON byte-for-byte (and
 //!   field-by-field on mismatch) against goldens committed under
 //!   `tests/goldens/`; `DLBENCH_BLESS=1` rewrites them.
-//! * [`verifier`] — the [`Verifier`] runtime guard (`--verify`):
-//!   NaN/Inf and shape invariants checked after every training epoch.
+//!
+//! The runtime guard that `--verify` installs, `Verifier`, lives in
+//! `dlbench-frameworks` next to the `TrainGuard` trait it implements:
+//! the fleet's promotion gate runs it too, and this crate depends on
+//! `dlbench-core` (for the goldens), which sits above the fleet.
 //!
 //! A benchmark that mis-reports accuracy or attack success is worse
 //! than no benchmark; this crate exists so the numbers in the reports
@@ -22,10 +25,8 @@
 
 pub mod golden;
 pub mod gradcheck;
-pub mod verifier;
 
 pub use gradcheck::{
     gradcheck_layer, gradcheck_loss, gradcheck_network, GradCheckConfig, GradCheckReport,
     ParamCheck,
 };
-pub use verifier::Verifier;

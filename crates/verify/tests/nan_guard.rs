@@ -3,8 +3,7 @@
 
 use dlbench_core::BenchmarkRunner;
 use dlbench_data::DatasetKind;
-use dlbench_frameworks::{FrameworkKind, GuardCtx, Scale, TrainGuard};
-use dlbench_verify::Verifier;
+use dlbench_frameworks::{FrameworkKind, GuardCtx, Scale, TrainGuard, Verifier};
 use std::sync::Arc;
 
 /// Sabotages the model at the end of a chosen epoch, then runs the real

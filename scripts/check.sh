@@ -22,6 +22,7 @@ cargo test --workspace --locked -q
 
 echo "==> verify gate (gradcheck + goldens + guards)"
 cargo test -p dlbench-verify --locked -q
+cargo test -p dlbench-frameworks --locked -q verifier
 
 echo "==> serve smoke (ephemeral port, concurrent predicts, metrics, drain)"
 cargo test -p dlbench-serve --test smoke --locked -q
@@ -66,7 +67,7 @@ test -s target/dlbench-reports/BENCH_spec.json
 cargo test -p dlbench-integration-tests --test spec --locked -q
 rm -rf target/dlbench-check-cache
 
-echo "==> spec bench (18 fleet cells through the simulator backend)"
+echo "==> spec bench (18 fleet cells through the fleet simulator)"
 cargo bench --bench spec --locked -- examples/specs/fleet_sweep.json | grep -q "^\[18 cells"
 
 echo "==> fleet smoke (2 replicas, live promotion under load, zero errored requests)"

@@ -51,41 +51,49 @@ fn small_grid() -> ExperimentSpec {
     ExperimentSpec::parse(&text).expect("inline spec parses")
 }
 
+/// Expands a shipped spec, checks that expansion is a pure function of
+/// the spec text and that the plan matches its committed golden
+/// byte-for-byte. The plan's cell hashes are the cache keys, so a drift
+/// would orphan every cache a previous build filled.
+fn assert_golden_plan(spec_file: &str, golden_file: &str) -> spec::Plan {
+    let text = std::fs::read_to_string(repo_path(&format!("../examples/specs/{spec_file}")))
+        .expect("shipped spec readable");
+    let plan = ExperimentSpec::parse(&text).expect("shipped spec parses");
+    let plan = plan.expand().expect("shipped spec expands");
+    let rendered = plan.to_json().pretty() + "\n";
+    let again = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
+    assert_eq!(rendered, again.to_json().pretty() + "\n", "{spec_file}");
+    let golden = std::fs::read_to_string(repo_path(&format!("goldens/{golden_file}")))
+        .expect("golden plan readable");
+    assert_eq!(rendered, golden, "{spec_file} plan drifted from tests/goldens/{golden_file}");
+    plan
+}
+
 #[test]
 fn shipped_spec_expands_to_golden_plan() {
-    let text = std::fs::read_to_string(repo_path("../examples/specs/paper_tables.json"))
-        .expect("shipped spec readable");
-    let spec = ExperimentSpec::parse(&text).expect("shipped spec parses");
-    let plan = spec.expand().expect("shipped spec expands");
-    assert!(
-        plan.cells.len() >= 12,
-        "paper tables spec must cover the full cross: {}",
-        plan.cells.len()
-    );
-    let rendered = plan.to_json().pretty() + "\n";
-    // Expansion is a pure function of the spec text.
-    let again = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
-    assert_eq!(rendered, again.to_json().pretty() + "\n");
-    // And matches the committed golden byte-for-byte.
-    let golden =
-        std::fs::read_to_string(repo_path("goldens/spec_plan.json")).expect("golden plan readable");
-    assert_eq!(rendered, golden, "plan drifted from tests/goldens/spec_plan.json");
+    let plan = assert_golden_plan("paper_tables.json", "spec_plan.json");
+    assert_eq!(plan.cells.len(), 12, "paper tables spec must cover the full cross");
 }
 
 #[test]
 fn shipped_text_sweep_spec_expands_to_golden_plan() {
-    let text = std::fs::read_to_string(repo_path("../examples/specs/text_sweep.json"))
-        .expect("shipped text sweep readable");
-    let spec = ExperimentSpec::parse(&text).expect("text sweep parses");
-    let plan = spec.expand().expect("text sweep expands");
+    let plan = assert_golden_plan("text_sweep.json", "text_sweep_plan.json");
     // 3 personalities x {mnist, imdb} x {fp32, int8} serve cells.
     assert_eq!(plan.cells.len(), 12, "text sweep must cover the full cross");
     let imdb_cells = plan.cells.iter().filter(|c| c.params["dataset"] == "imdb").count();
     assert_eq!(imdb_cells, 6, "half the cells serve the text modality");
-    let rendered = plan.to_json().pretty() + "\n";
-    let golden = std::fs::read_to_string(repo_path("goldens/text_sweep_plan.json"))
-        .expect("golden plan readable");
-    assert_eq!(rendered, golden, "plan drifted from tests/goldens/text_sweep_plan.json");
+}
+
+#[test]
+fn shipped_scaling_sweep_spec_expands_to_golden_plan() {
+    let plan = assert_golden_plan("scaling_sweep.json", "scaling_sweep_plan.json");
+    assert_eq!(plan.cells.len(), 22, "scaling sweep must cover the full cross");
+}
+
+#[test]
+fn shipped_fleet_sweep_spec_expands_to_golden_plan() {
+    let plan = assert_golden_plan("fleet_sweep.json", "fleet_sweep_plan.json");
+    assert_eq!(plan.cells.len(), 18, "fleet sweep must cover the full cross");
 }
 
 #[test]
@@ -94,13 +102,13 @@ fn resume_retrains_only_missing_cells() {
     let plan = small_grid().expand().unwrap();
     assert_eq!(plan.cells.len(), 4);
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let first = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let first = spec::run_plan(&plan, &opts).unwrap();
     assert_eq!((first.executed, first.cache_hits), (4, 0));
 
     // Simulate a killed sweep by deleting one finished cell.
     let victim = cache.path().join(format!("{}.json", first.cells[2].hash));
     std::fs::remove_file(&victim).unwrap();
-    let second = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let second = spec::run_plan(&plan, &opts).unwrap();
     assert_eq!((second.executed, second.cache_hits), (1, 3), "exactly the deleted cell re-runs");
 
     // The resumed run reproduces the original results bit-for-bit.
@@ -124,7 +132,7 @@ fn truncated_cache_entry_is_a_miss_not_an_error() {
     );
     let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let first = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let first = spec::run_plan(&plan, &opts).unwrap();
     assert_eq!(first.executed, 2);
 
     // A crash mid-write never leaves a half entry (temp + rename), but
@@ -132,7 +140,7 @@ fn truncated_cache_entry_is_a_miss_not_an_error() {
     let path = cache.path().join(format!("{}.json", first.cells[0].hash));
     let full = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, &full[..full.len() / 3]).unwrap();
-    let second = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let second = spec::run_plan(&plan, &opts).unwrap();
     assert_eq!((second.executed, second.cache_hits), (1, 1));
     assert_eq!(spec::document(&first).pretty(), spec::document(&second).pretty());
 }
@@ -150,7 +158,7 @@ fn spec_cell_matches_direct_runner_bitwise() {
     );
     let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let run = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let run = spec::run_plan(&plan, &opts).unwrap();
     let result = &run.cells[0].result;
 
     // The same cell through the `run`/`train` path: identical key,
@@ -183,35 +191,33 @@ fn forced_rerun_is_byte_identical() {
     let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
     let cached = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
     let forced = RunOptions { cache_dir: cache.path().to_path_buf(), force: true };
-    let first = spec::run_plan(&plan, &cached, None, None).unwrap();
+    let first = spec::run_plan(&plan, &cached).unwrap();
     // `--force` re-executes everything; a deterministic engine must
     // still reproduce the document byte-for-byte.
-    let second = spec::run_plan(&plan, &forced, None, None).unwrap();
+    let second = spec::run_plan(&plan, &forced).unwrap();
     assert_eq!(second.executed, 1);
     assert_eq!(spec::document(&first).pretty(), spec::document(&second).pretty());
 }
 
 #[test]
-fn spec_routing_aliases_stay_in_sync_with_the_fleet_crate() {
+fn routing_aliases_expand_to_one_canonical_fleet_cell() {
     use dlbench_core::spec::CellPayload;
     use dlbench_fleet::RoutingPolicy;
 
-    // dlbench-core canonicalizes routing spellings without depending on
-    // dlbench-fleet; this pins the two alias tables together. Every
-    // spelling the fleet crate accepts must expand, and the canonical
-    // string the plan stores must parse back to the same policy.
+    // Every routing spelling expands to one cell whose canonical param
+    // (what the cache key hashes) names the policy its payload holds.
     let aliases = [
-        ("rr", "rr"),
-        ("round-robin", "rr"),
-        ("roundrobin", "rr"),
-        ("least-queue", "least-queue"),
-        ("leastqueue", "least-queue"),
-        ("lq", "least-queue"),
-        ("batch-aware", "batch-aware"),
-        ("batchaware", "batch-aware"),
-        ("ba", "batch-aware"),
+        ("rr", RoutingPolicy::RoundRobin),
+        ("round-robin", RoutingPolicy::RoundRobin),
+        ("roundrobin", RoutingPolicy::RoundRobin),
+        ("least-queue", RoutingPolicy::LeastQueue),
+        ("leastqueue", RoutingPolicy::LeastQueue),
+        ("lq", RoutingPolicy::LeastQueue),
+        ("batch-aware", RoutingPolicy::BatchAware),
+        ("batchaware", RoutingPolicy::BatchAware),
+        ("ba", RoutingPolicy::BatchAware),
     ];
-    for (alias, canonical) in aliases {
+    for (alias, policy) in aliases {
         // One spec per spelling: aliases of the same policy expand to
         // the same canonical cell, which a single grid would reject as
         // a duplicate.
@@ -225,14 +231,11 @@ fn spec_routing_aliases_stay_in_sync_with_the_fleet_crate() {
         );
         let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
         assert_eq!(plan.cells.len(), 1);
+        assert_eq!(plan.cells[0].params["routing"], policy.name(), "alias `{alias}`");
         let CellPayload::Fleet(f) = &plan.cells[0].payload else {
             panic!("expected a fleet cell for alias {alias}");
         };
-        assert_eq!(f.routing, canonical, "core canonicalized `{alias}` differently");
-        let policy = RoutingPolicy::parse(alias)
-            .unwrap_or_else(|| panic!("fleet crate rejects spelling `{alias}`"));
-        assert_eq!(policy.name(), canonical, "alias tables diverged for `{alias}`");
-        assert_eq!(RoutingPolicy::parse(&f.routing), Some(policy));
+        assert_eq!(f.policy, policy, "alias `{alias}` parsed to the wrong policy");
     }
 }
 
@@ -274,8 +277,6 @@ fn framework_and_dataset_spellings_match_the_cli() {
 
 #[test]
 fn shipped_text_sweep_serve_cells_run_through_the_http_backend() {
-    use dlbench_serve::HttpServeBackend;
-
     let text = std::fs::read_to_string(repo_path("../examples/specs/text_sweep.json"))
         .expect("shipped text sweep readable");
     let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
@@ -290,7 +291,7 @@ fn shipped_text_sweep_serve_cells_run_through_the_http_backend() {
     let slice = dlbench_core::Plan { name: plan.name.clone(), cells };
     let cache = ScratchCache::new("serve");
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let run = spec::run_plan(&slice, &opts, Some(&HttpServeBackend), None).unwrap();
+    let run = spec::run_plan(&slice, &opts).unwrap();
     assert_eq!(run.executed, 2);
     for cell in &run.cells {
         let field = |k: &str| cell.result.get(k).and_then(|v| v.as_f64());
@@ -306,7 +307,6 @@ fn shipped_text_sweep_serve_cells_run_through_the_http_backend() {
 #[test]
 fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
     use dlbench_core::spec::CellPayload;
-    use dlbench_fleet::SimFleetBackend;
 
     let text = std::fs::read_to_string(repo_path("../examples/specs/fleet_sweep.json"))
         .expect("shipped fleet spec readable");
@@ -314,12 +314,12 @@ fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
     assert!(plan.cells.iter().all(|c| matches!(c.payload, CellPayload::Fleet(_))));
     assert_eq!(plan.cells.len(), 18, "3 policies x 3 rates x 2 replica counts");
 
-    // Run a 2-cell slice end to end through the backend and check the
+    // Run a 2-cell slice end to end through the simulator and check the
     // per-cell result shape the aggregator summarizes.
     let cache = ScratchCache::new("fleet");
     let slice = dlbench_core::Plan { name: plan.name.clone(), cells: plan.cells[..2].to_vec() };
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let run = spec::run_plan(&slice, &opts, None, Some(&SimFleetBackend)).unwrap();
+    let run = spec::run_plan(&slice, &opts).unwrap();
     assert_eq!(run.executed, 2);
     for cell in &run.cells {
         for key in ["completed", "shed_rate", "slo_burn", "latency_ms"] {
@@ -327,7 +327,7 @@ fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
         }
     }
     // Cached resume: byte-identical document without re-execution.
-    let again = spec::run_plan(&slice, &opts, None, Some(&SimFleetBackend)).unwrap();
+    let again = spec::run_plan(&slice, &opts).unwrap();
     assert_eq!(again.executed, 0);
     assert_eq!(spec::document(&run).pretty(), spec::document(&again).pretty());
 }
@@ -360,12 +360,12 @@ fn quantize_axis_expands_on_serve_and_fleet_grids() {
         // separately.
         let dtype = cell.params.get("quantize").expect("canonical params carry quantize").clone();
         match &cell.payload {
-            CellPayload::Serve(s) => {
-                assert_eq!(s.quantize, dtype);
+            CellPayload::Serve { model, .. } => {
+                assert_eq!(model.dtype.name(), dtype);
                 serve_dtypes.push(dtype);
             }
             CellPayload::Fleet(f) => {
-                assert_eq!(f.quantize, dtype);
+                assert_eq!(f.dtype.name(), dtype);
                 fleet_dtypes.push(dtype);
             }
             other => panic!("unexpected payload: {other:?}"),
@@ -376,23 +376,10 @@ fn quantize_axis_expands_on_serve_and_fleet_grids() {
     assert_eq!(serve_dtypes, ["fp32", "int8"]);
     assert_eq!(fleet_dtypes, ["fp32", "int8"]);
 
-    // The canonical spellings the plan stores must be exactly what the
-    // serving layer parses — the two vocabularies are pinned together.
-    for dtype in ["fp32", "int8"] {
-        assert!(
-            ModelDtype::parse(dtype).is_some(),
-            "serve crate rejects canonical spelling `{dtype}`"
-        );
-    }
-
-    // Alias spellings canonicalize rather than multiply cells, and the
-    // CLI's `--quantize` parser accepts every one of them too.
-    for (alias, canonical) in [("f32", "fp32"), ("float32", "fp32"), ("i8", "int8")] {
-        assert_eq!(
-            ModelDtype::parse(alias).map(|d| d.name()),
-            Some(canonical),
-            "serve crate parses `{alias}` differently"
-        );
+    // Alias spellings canonicalize rather than multiply cells.
+    for (alias, dtype) in
+        [("f32", ModelDtype::Fp32), ("float32", ModelDtype::Fp32), ("i8", ModelDtype::Int8)]
+    {
         let text = format!(
             r#"{{
                 "name": "it-quantize-alias",
@@ -403,11 +390,38 @@ fn quantize_axis_expands_on_serve_and_fleet_grids() {
             }}"#
         );
         let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
-        let CellPayload::Serve(s) = &plan.cells[0].payload else {
+        assert_eq!(plan.cells[0].params["quantize"], dtype.name(), "alias `{alias}`");
+        let CellPayload::Serve { model, .. } = &plan.cells[0].payload else {
             panic!("expected a serve cell for alias {alias}");
         };
-        assert_eq!(s.quantize, canonical, "alias `{alias}` canonicalized differently");
+        assert_eq!(model.dtype, dtype, "alias `{alias}` parsed to the wrong dtype");
     }
+}
+
+#[test]
+fn misplaced_key_errors_name_every_kind_that_takes_the_key() {
+    let grid = |kind: &str, key: &str| {
+        format!(
+            r#"{{"name": "it-misplaced", "defaults": {{"framework": "tf", "dataset": "mnist"}},
+                "grids": [{{"kind": "{kind}", "axes": {{"{key}": [1]}}}}]}}"#
+        )
+    };
+    // A key two kinds share names both, and the fix offers either.
+    let err = ExperimentSpec::parse(&grid("dist", "max_batch")).unwrap_err();
+    assert!(err.contains("`max_batch` only applies to serve and fleet grids"), "{err}");
+    assert!(err.contains("move it to a serve or fleet grid"), "{err}");
+    let err = ExperimentSpec::parse(&grid("fleet", "setting_owner")).unwrap_err();
+    assert!(err.contains("`setting_owner` only applies to train and dist grids"), "{err}");
+    // A key no kind takes is a typo, listed against the union.
+    let err = ExperimentSpec::parse(&grid("train", "replica")).unwrap_err();
+    assert!(
+        err.ends_with(
+            "unknown parameter `replica` (known: dataset, deadline_ms, device, framework, \
+             max_batch, max_steps, quantize, rate_rps, replicas, requests, routing, scale, seed, \
+             setting_dataset, setting_owner, strategy, target_p99_ms, workers)"
+        ),
+        "{err}"
+    );
 }
 
 #[test]
