@@ -1,6 +1,6 @@
 //! Serving benchmark: throughput and tail latency versus the
 //! micro-batcher's flush deadline, per framework personality, under
-//! open-loop load.
+//! open-loop and closed-loop load.
 //!
 //! ```sh
 //! cargo bench --bench serve              # full sweep
@@ -8,10 +8,16 @@
 //! ```
 //!
 //! Results land in `target/dlbench-reports/BENCH_serve.json`: one row
-//! per *(framework, batch deadline)* with client-observed p50/p95/p99,
-//! achieved throughput and shed counts. A longer deadline buys larger
-//! batches (higher throughput per forward) at the price of queueing
-//! latency — the classic serving trade-off this file makes measurable.
+//! per *(framework, batch deadline)*. Its plain fields are the open-loop
+//! pass (client-observed p50/p95/p99, achieved throughput and shed
+//! counts); its `closed_*` fields are a closed-loop pass with the same
+//! request count at `2 × max batch` clients. The batcher waits for
+//! stragglers only while backlogged, so at the open-loop rate, where one
+//! model's requests rarely overlap, every request is flushed at once and
+//! the deadline barely shows. The closed loop keeps the batcher
+//! backlogged: there a longer deadline buys larger batches (higher
+//! throughput per forward) at the price of queueing latency — the
+//! classic serving trade-off this file makes measurable.
 
 use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
 use dlbench_frameworks::Scale;
@@ -28,8 +34,9 @@ fn main() {
     let max_batch = 8;
 
     println!(
-        "DLBench serve sweep — scale Tiny, seed {BENCH_SEED:#x}, open-loop {rate_rps} req/s, \
-         {requests} requests per cell, max batch {max_batch}"
+        "DLBench serve sweep — scale Tiny, seed {BENCH_SEED:#x}, open-loop {rate_rps} req/s \
+         then closed-loop {} clients, {requests} requests per pass, max batch {max_batch}",
+        2 * max_batch
     );
     let started = Stopwatch::start();
     let doc = loadgen::sweep_personalities(
@@ -43,24 +50,37 @@ fn main() {
 
     if let Some(rows) = doc["rows"].as_array() {
         println!(
-            "{:<12} {:>11} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9}",
-            "framework", "deadline_ms", "ok", "shed", "rps", "p50_ms", "p95_ms", "p99_ms"
+            "{:<12} {:>11} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>10} {:>9} {:>9}",
+            "framework",
+            "deadline_ms",
+            "ok",
+            "shed",
+            "rps",
+            "p50_ms",
+            "p95_ms",
+            "p99_ms",
+            "closed_rps",
+            "c_p50_ms",
+            "c_p99_ms"
         );
         for row in rows {
-            let fmt_ms = |k: &str| match row["latency_ms"][k].as_f64() {
+            let fmt_ms = |pass: &str, k: &str| match row[pass][k].as_f64() {
                 Some(v) => format!("{v:.2}"),
                 None => "-".to_string(),
             };
             println!(
-                "{:<12} {:>11} {:>6} {:>6} {:>10.1} {:>9} {:>9} {:>9}",
+                "{:<12} {:>11} {:>6} {:>6} {:>10.1} {:>9} {:>9} {:>9} {:>10.1} {:>9} {:>9}",
                 row["framework"].as_str().unwrap_or("?"),
                 row["batch_deadline_ms"].as_f64().unwrap_or(-1.0) as u64,
                 row["ok"].as_f64().unwrap_or(0.0) as u64,
                 row["shed"].as_f64().unwrap_or(0.0) as u64,
                 row["achieved_rps"].as_f64().unwrap_or(0.0),
-                fmt_ms("p50"),
-                fmt_ms("p95"),
-                fmt_ms("p99"),
+                fmt_ms("latency_ms", "p50"),
+                fmt_ms("latency_ms", "p95"),
+                fmt_ms("latency_ms", "p99"),
+                row["closed_achieved_rps"].as_f64().unwrap_or(0.0),
+                fmt_ms("closed_latency_ms", "p50"),
+                fmt_ms("closed_latency_ms", "p99"),
             );
         }
     }

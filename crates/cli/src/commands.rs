@@ -657,7 +657,8 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
     println!("  POST /predict/<model>    body: JSON array of input floats");
     println!("  GET  /healthz | GET /metrics | POST /shutdown");
     println!(
-        "  batching: max {} per forward, {}ms flush deadline, queue {}",
+        "  batching: max {} per forward, flushed at once unless backlogged, \
+         then up to {}ms for stragglers, queue {}",
         config.max_batch,
         config.max_wait.as_millis(),
         config.queue_capacity

@@ -1,7 +1,15 @@
 //! Dynamic micro-batching: a bounded request queue drained by one
-//! worker thread that coalesces whatever is waiting — up to a max batch
-//! size, waiting at most a deadline for stragglers — into a single
-//! batched forward pass.
+//! worker thread that coalesces whatever is waiting, up to a max batch
+//! size, into a single batched forward pass.
+//!
+//! A batch never waits when no other request is coming. The worker
+//! takes the first job plus whatever is already queued, and flushes at
+//! once unless the batcher is *backlogged*: this batch found other jobs
+//! queued, or the previous flush left work behind. Only then does it
+//! wait for stragglers, until `max_wait` after the oldest job was
+//! enqueued. So the deadline costs nothing at low load and still builds
+//! batches during a burst, and a request's queue wait is bounded by
+//! `max_wait` plus one forward.
 //!
 //! Batching is *bit-transparent*: preprocessing and every layer in the
 //! suite operate row-independently, so a request's logits are identical
@@ -23,8 +31,10 @@ use std::time::Duration;
 pub struct BatchConfig {
     /// Largest batch one forward pass may carry.
     pub max_batch: usize,
-    /// How long a flush may wait for stragglers after the first request
-    /// of a batch arrives.
+    /// How long a backlogged batcher may hold a batch for stragglers,
+    /// counted from the enqueue of the batch's oldest request. A batch
+    /// that finds nothing else queued, after a flush that left nothing
+    /// behind, is flushed at once and never waits.
     pub max_wait: Duration,
     /// Bounded queue capacity; requests beyond it are shed with
     /// [`ServeError::QueueFull`] (HTTP 503), never buffered unboundedly.
@@ -248,6 +258,9 @@ fn worker_loop(
 ) {
     let (c, h, w) = served.spec.input_dims();
     let max_batch = config.max_batch.max(1);
+    let max_wait_ns = u64::try_from(config.max_wait.as_nanos()).unwrap_or(u64::MAX);
+    // Whether the last flush left work queued behind it.
+    let mut left_behind = false;
     loop {
         // Block for the batch's first request; a closed, empty channel
         // means the batcher has drained and the worker exits.
@@ -264,18 +277,29 @@ fn worker_loop(
         }
         let assembly_span = dlbench_trace::span(Category::Serve, "batch_assembly");
         let mut batch = vec![first];
-        let waited = Stopwatch::start();
         while batch.len() < max_batch {
-            let elapsed = waited.elapsed();
-            if elapsed >= config.max_wait {
-                break;
-            }
-            match rx.recv_timeout(config.max_wait - elapsed) {
+            match rx.try_recv() {
                 Ok(job) => batch.push(job),
-                // Timeout: flush what we have. Disconnected: flush this
-                // final batch; the outer recv will then observe the
-                // closed channel and exit.
                 Err(_) => break,
+            }
+        }
+        // Wait for stragglers only while backlogged, and only until
+        // `max_wait` after the oldest job's enqueue.
+        if left_behind || batch.len() > 1 {
+            let oldest_ns = batch.iter().map(|job| job.enqueued_ns).fold(u64::MAX, u64::min);
+            let deadline_ns = oldest_ns.saturating_add(max_wait_ns);
+            while batch.len() < max_batch {
+                let now_ns = monotonic_ns();
+                if now_ns >= deadline_ns {
+                    break;
+                }
+                match rx.recv_timeout(Duration::from_nanos(deadline_ns - now_ns)) {
+                    Ok(job) => batch.push(job),
+                    // Timeout: flush what we have. Disconnected: flush
+                    // this final batch; the outer recv will then observe
+                    // the closed channel and exit.
+                    Err(_) => break,
+                }
             }
         }
         let n = batch.len();
@@ -326,6 +350,7 @@ fn worker_loop(
         // queued-plus-in-flight semantics.
         depth.fetch_sub(n, Ordering::SeqCst);
         let remaining = depth.load(Ordering::SeqCst);
+        left_behind = remaining > 0;
         metrics.observe_flush_depth(remaining);
         dlbench_trace::counter(Category::Serve, "queue_depth", remaining as f64);
     }

@@ -18,7 +18,7 @@
 use crate::model::ModelRegistry;
 use crate::ServeError;
 use dlbench_json::JsonValue;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -273,10 +273,24 @@ fn write_response(
     stream.flush()
 }
 
+/// Reads one line of the request head (the request line or a header)
+/// from `head`, the head behind a `MAX_HEAD_BYTES` + 1 limit. Using up
+/// the limit means the head is over the cap.
+fn read_head_line<R: BufRead>(head: &mut Take<R>) -> Result<String, String> {
+    let mut line = String::new();
+    head.read_line(&mut line).map_err(|e| format!("read error: {e}"))?;
+    if head.limit() == 0 {
+        return Err("headers too large".to_string());
+    }
+    Ok(line)
+}
+
 fn read_request(stream: &TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| format!("read error: {e}"))?;
+    // The head is read through a limit, so a client that never sends a
+    // newline makes the handler buffer at most `MAX_HEAD_BYTES` + 1.
+    let mut head = (&mut reader).take(MAX_HEAD_BYTES as u64 + 1);
+    let line = read_head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let path = parts.next().ok_or("request line missing path")?.to_string();
@@ -286,14 +300,8 @@ fn read_request(stream: &TcpStream) -> Result<Request, String> {
     }
 
     let mut content_length = 0usize;
-    let mut head_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| format!("read error: {e}"))?;
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err("headers too large".to_string());
-        }
+        let header = read_head_line(&mut head)?;
         let trimmed = header.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             break;

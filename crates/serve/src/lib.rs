@@ -5,7 +5,8 @@
 //!
 //! ```text
 //! HTTP request ──▶ ModelRegistry ──▶ MicroBatcher (bounded queue)
-//!                                        │  max-batch / max-wait flush
+//!                                        │  flush at once; max-wait only
+//!                                        │  while backlogged
 //!                                        ▼
 //!                                  worker thread: one batched forward
 //!                                        │
@@ -16,7 +17,9 @@
 //!   from its framework personality's architecture spec and optionally
 //!   warm-loaded from a `dlbench-nn` checkpoint.
 //! * [`batcher::MicroBatcher`] coalesces concurrent requests into one
-//!   batched forward pass under a max-batch-size / max-wait deadline.
+//!   batched forward pass of at most max-batch requests. It flushes at
+//!   once when nothing else is queued and waits up to max-wait for
+//!   stragglers only while backlogged.
 //!   Batching is bit-transparent: batched predictions are identical to
 //!   single-sample forwards (guarded by the suite's determinism tests).
 //! * [`http`] is a dependency-free HTTP/1.1 server over

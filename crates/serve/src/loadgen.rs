@@ -75,10 +75,6 @@ impl LoadReport {
 
     /// JSON row for reports and the bench harness.
     pub fn to_json(&self) -> JsonValue {
-        let latency = match self.latency_ms.summary() {
-            Some(s) => dlbench_json::ToJson::to_json(&s),
-            None => JsonValue::Null,
-        };
         JsonValue::Object(vec![
             ("sent".into(), self.sent.into()),
             ("ok".into(), self.ok.into()),
@@ -87,8 +83,16 @@ impl LoadReport {
             ("errors".into(), self.errors.into()),
             ("wall_s".into(), self.wall_s.into()),
             ("achieved_rps".into(), self.achieved_rps.into()),
-            ("latency_ms".into(), latency),
+            ("latency_ms".into(), self.latency_json()),
         ])
+    }
+
+    /// The latency summary as JSON; `null` when nothing succeeded.
+    fn latency_json(&self) -> JsonValue {
+        match self.latency_ms.summary() {
+            Some(s) => dlbench_json::ToJson::to_json(&s),
+            None => JsonValue::Null,
+        }
     }
 }
 
@@ -277,10 +281,15 @@ pub fn serve_and_drive(
     Ok((report, calibration))
 }
 
-/// Sweeps batch deadlines across the three framework personalities
-/// under open-loop load, producing the rows behind `BENCH_serve.json`:
-/// throughput and tail latency as a function of the micro-batcher's
-/// max-wait deadline.
+/// Sweeps batch deadlines across the three framework personalities,
+/// producing the rows behind `BENCH_serve.json`: throughput and tail
+/// latency as a function of the micro-batcher's max-wait deadline.
+///
+/// Each row drives a fresh server twice with the same request count:
+/// open loop at `rate_rps` (the row's plain fields), where one model's
+/// requests rarely overlap and the batcher flushes each at once, then
+/// closed loop at `2 × max_batch` clients (the `closed_*` fields), which
+/// keeps the batcher backlogged so the deadline builds batches.
 pub fn sweep_personalities(
     scale: Scale,
     seed: u64,
@@ -300,18 +309,29 @@ pub fn sweep_personalities(
                 max_wait: Duration::from_millis(deadline_ms),
                 ..BatchConfig::default()
             };
-            let load = LoadConfig { mode: LoadMode::Open { rate_rps }, requests };
-            let (report, _) = serve_and_drive(&spec, config, &inputs, &load)
-                .unwrap_or_else(|e| panic!("serve sweep row: {e}"));
+            let drive = |mode| {
+                let load = LoadConfig { mode, requests };
+                let (report, _) = serve_and_drive(&spec, config, &inputs, &load)
+                    .unwrap_or_else(|e| panic!("serve sweep row: {e}"));
+                report
+            };
+            let open = drive(LoadMode::Open { rate_rps });
+            let concurrency = 2 * max_batch;
+            let closed = drive(LoadMode::Closed { concurrency });
             let mut row = vec![
                 ("framework".to_string(), JsonValue::from(fw.name())),
                 ("batch_deadline_ms".to_string(), JsonValue::from(deadline_ms as usize)),
                 ("max_batch".to_string(), JsonValue::from(max_batch)),
                 ("offered_rps".to_string(), JsonValue::from(rate_rps)),
             ];
-            if let JsonValue::Object(fields) = report.to_json() {
+            if let JsonValue::Object(fields) = open.to_json() {
                 row.extend(fields);
             }
+            row.extend([
+                ("closed_concurrency".to_string(), JsonValue::from(concurrency)),
+                ("closed_achieved_rps".to_string(), JsonValue::from(closed.achieved_rps)),
+                ("closed_latency_ms".to_string(), closed.latency_json()),
+            ]);
             rows.push(JsonValue::Object(row));
         }
     }

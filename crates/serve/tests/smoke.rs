@@ -6,7 +6,9 @@ use dlbench_data::DatasetKind;
 use dlbench_frameworks::{FrameworkKind, Scale};
 use dlbench_json::JsonValue;
 use dlbench_serve::{loadgen, serve, BatchConfig, ModelRegistry, ModelSpec};
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 42;
 
@@ -157,5 +159,62 @@ fn two_models_are_served_independently() {
     let metrics = dlbench_json::parse(&metrics).unwrap();
     assert_eq!(metrics["tf"]["completed"], 1.0);
     assert_eq!(metrics["torch"]["completed"], 1.0);
+    server.shutdown();
+}
+
+#[test]
+fn lone_request_is_flushed_without_waiting_out_the_deadline() {
+    // Nothing else is queued and nothing was left behind, so the batch
+    // has no straggler to wait for: a one-second deadline must cost the
+    // request nothing.
+    let config = BatchConfig { max_batch: 8, max_wait: Duration::from_secs(1), queue_capacity: 64 };
+    let registry = registry_with("m", FrameworkKind::TensorFlow, config);
+    let server = serve(registry, "127.0.0.1:0").expect("ephemeral bind");
+    let addr = server.addr();
+
+    let started = Instant::now();
+    let (status, body) = loadgen::predict(addr, "m", &tiny_inputs(1)[0]).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(status, 200, "predict failed: {}", body.pretty());
+    assert_eq!(body["batch_size"], 1.0);
+    assert!(elapsed < Duration::from_millis(500), "lone request took {elapsed:?}");
+
+    let (_, metrics) = loadgen::http_request(addr, "GET", "/metrics", None).unwrap();
+    let metrics = dlbench_json::parse(&metrics).unwrap();
+    let wait_ms = metrics["m"]["queue_wait_ms"]["p50"].as_f64().unwrap();
+    assert!(wait_ms < 50.0, "lone request waited {wait_ms} ms in the queue");
+    server.shutdown();
+}
+
+#[test]
+fn endless_request_line_is_refused_after_the_head_cap() {
+    // 64 KiB of request line and no newline, on a connection the client
+    // keeps open: the handler must stop reading at the head cap and
+    // answer, not buffer on until the IO timeout.
+    let registry = registry_with("m", FrameworkKind::Torch, BatchConfig::default());
+    let server = serve(registry, "127.0.0.1:0").expect("ephemeral bind");
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut line = b"GET /".to_vec();
+    line.resize(64 * 1024, b'a');
+
+    let started = Instant::now();
+    let mut writer = stream.try_clone().unwrap();
+    // The server may close with part of the line unread, so this write
+    // can fail; only the reply matters.
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&line);
+    });
+    let mut reply = Vec::new();
+    // A reset after the reply (unread bytes at close) ends the read with
+    // an error; the bytes read before it are kept.
+    let _ = stream.read_to_end(&mut reply);
+    let elapsed = started.elapsed();
+    sender.join().unwrap();
+
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 400"), "unexpected reply: {reply:?}");
+    assert!(reply.contains("headers too large"), "unexpected reply: {reply:?}");
+    assert!(elapsed < Duration::from_secs(2), "refusal took {elapsed:?}");
     server.shutdown();
 }

@@ -141,4 +141,8 @@ echo "==> serve-mix smoke (seed 42, 2 s; fp32 and int8 replies bitwise vs local 
 cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
     --workload serve-mix --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
 
+echo "==> fleet-sweep smoke (seed 42, 2 s; seed-42 completed, shed and mean_batch checked)"
+cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
+    --workload fleet-sweep --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
+
 echo "==> OK"
