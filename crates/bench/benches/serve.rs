@@ -17,7 +17,9 @@
 //! the deadline barely shows. The closed loop keeps the batcher
 //! backlogged: there a longer deadline buys larger batches (higher
 //! throughput per forward) at the price of queueing latency — the
-//! classic serving trade-off this file makes measurable.
+//! classic serving trade-off this file makes measurable. `c_batch`
+//! (`closed_batch_mean`) is the closed pass's mean batch size as the
+//! replies report it, weighted by request.
 
 use dlbench_bench::{write_report, BenchArgs, BENCH_SEED};
 use dlbench_frameworks::Scale;
@@ -50,7 +52,7 @@ fn main() {
 
     if let Some(rows) = doc["rows"].as_array() {
         println!(
-            "{:<12} {:>11} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>10} {:>9} {:>9}",
+            "{:<12} {:>11} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>10} {:>7} {:>9} {:>9}",
             "framework",
             "deadline_ms",
             "ok",
@@ -60,6 +62,7 @@ fn main() {
             "p95_ms",
             "p99_ms",
             "closed_rps",
+            "c_batch",
             "c_p50_ms",
             "c_p99_ms"
         );
@@ -69,7 +72,7 @@ fn main() {
                 None => "-".to_string(),
             };
             println!(
-                "{:<12} {:>11} {:>6} {:>6} {:>10.1} {:>9} {:>9} {:>9} {:>10.1} {:>9} {:>9}",
+                "{:<12} {:>11} {:>6} {:>6} {:>10.1} {:>9} {:>9} {:>9} {:>10.1} {:>7.2} {:>9} {:>9}",
                 row["framework"].as_str().unwrap_or("?"),
                 row["batch_deadline_ms"].as_f64().unwrap_or(-1.0) as u64,
                 row["ok"].as_f64().unwrap_or(0.0) as u64,
@@ -79,6 +82,7 @@ fn main() {
                 fmt_ms("latency_ms", "p95"),
                 fmt_ms("latency_ms", "p99"),
                 row["closed_achieved_rps"].as_f64().unwrap_or(0.0),
+                row["closed_batch_mean"].as_f64().unwrap_or(0.0),
                 fmt_ms("closed_latency_ms", "p50"),
                 fmt_ms("closed_latency_ms", "p99"),
             );

@@ -737,7 +737,11 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
         .get("rates")
         .unwrap_or("1000,50000,1000000")
         .split(',')
-        .map(|s| s.trim().parse::<f64>().map_err(|_| format!("bad rate `{s}`")))
+        .map(|s| match s.trim().parse::<f64>() {
+            Ok(rate) if rate.is_finite() && rate > 0.0 => Ok(rate),
+            Ok(_) => Err(format!("rate `{s}` must be positive and finite")),
+            Err(_) => Err(format!("bad rate `{s}`")),
+        })
         .collect::<Result<_, _>>()?;
     let policies: Vec<RoutingPolicy> = match args.get("routing") {
         None => RoutingPolicy::ALL.to_vec(),
@@ -749,7 +753,11 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
         "off" => &[false],
         other => return Err(format!("unknown --autoscale `{other}` (both|on|off)")),
     };
-    let mut base = SimFleetConfig::new(0.0, args.get_parsed("requests", 2_000usize)?);
+    let requests = args.get_parsed("requests", 2_000usize)?;
+    if requests == 0 {
+        return Err("--requests must be positive".into());
+    }
+    let mut base = SimFleetConfig::new(0.0, requests);
     base.host = FrameworkKind::parse(args.get("framework").unwrap_or("tf"))?;
     base.dataset = DatasetKind::parse(args.get("dataset").unwrap_or("mnist"))?;
     base.scale = parse_scale(args.get("scale"))?;

@@ -88,46 +88,31 @@ impl Router {
     }
 
     /// Picks the index (into `views`) of the replica to receive the
-    /// next request, or `None` when no replica is available.
+    /// next request, or `None` when no replica is available. Walks the
+    /// views without allocating.
     pub fn route(&self, views: &[ReplicaView]) -> Option<usize> {
-        let avail: Vec<usize> = (0..views.len()).filter(|&i| views[i].available).collect();
-        if avail.is_empty() {
-            return None;
-        }
+        let avail = || views.iter().enumerate().filter(|(_, v)| v.available);
+        let least_queue = || avail().min_by_key(|(_, v)| (v.outstanding, v.id));
         let pick = match self.policy {
             RoutingPolicy::RoundRobin => {
-                let seq = self.next.fetch_add(1, Ordering::Relaxed);
-                avail[seq % avail.len()]
-            }
-            RoutingPolicy::LeastQueue => *avail
-                .iter()
-                .min_by_key(|&&i| (views[i].outstanding, views[i].id))
-                .expect("non-empty"),
-            RoutingPolicy::BatchAware => {
-                // A replica with `outstanding % max_batch != 0` has a
-                // partial batch forming: joining it fills a batch that
-                // is already paying its max-wait latency. Among those,
-                // the fullest partial batch flushes soonest.
-                let partial = avail
-                    .iter()
-                    .filter(|&&i| {
-                        let v = &views[i];
-                        v.max_batch > 1 && !v.outstanding.is_multiple_of(v.max_batch)
-                    })
-                    .max_by_key(|&&i| {
-                        let v = &views[i];
-                        (v.outstanding % v.max_batch, std::cmp::Reverse(v.id))
-                    });
-                match partial {
-                    Some(&i) => i,
-                    None => *avail
-                        .iter()
-                        .min_by_key(|&&i| (views[i].outstanding, views[i].id))
-                        .expect("non-empty"),
+                let n = avail().count();
+                if n == 0 {
+                    return None;
                 }
+                let seq = self.next.fetch_add(1, Ordering::Relaxed);
+                avail().nth(seq % n)
             }
+            RoutingPolicy::LeastQueue => least_queue(),
+            // A replica with `outstanding % max_batch != 0` has a
+            // partial batch forming: joining it fills a batch that is
+            // already paying its max-wait latency. Among those, the
+            // fullest partial batch flushes soonest.
+            RoutingPolicy::BatchAware => avail()
+                .filter(|(_, v)| v.max_batch > 1 && !v.outstanding.is_multiple_of(v.max_batch))
+                .max_by_key(|(_, v)| (v.outstanding % v.max_batch, std::cmp::Reverse(v.id)))
+                .or_else(least_queue),
         };
-        Some(pick)
+        pick.map(|(i, _)| i)
     }
 }
 
@@ -182,6 +167,62 @@ mod tests {
         // No partial batches anywhere (all multiples of max_batch):
         // fall back to least-queue.
         assert_eq!(r.route(&[view(0, 8), view(1, 4), view(2, 0)]), Some(2));
+    }
+
+    /// The allocating pick `route` replaced, kept as the oracle, with
+    /// its round-robin cursor passed in.
+    fn collected_route(
+        policy: RoutingPolicy,
+        cursor: &mut usize,
+        views: &[ReplicaView],
+    ) -> Option<usize> {
+        let avail: Vec<usize> = (0..views.len()).filter(|&i| views[i].available).collect();
+        if avail.is_empty() {
+            return None;
+        }
+        let least_queue =
+            || *avail.iter().min_by_key(|&&i| (views[i].outstanding, views[i].id)).unwrap();
+        Some(match policy {
+            RoutingPolicy::RoundRobin => {
+                *cursor += 1;
+                avail[(*cursor - 1) % avail.len()]
+            }
+            RoutingPolicy::LeastQueue => least_queue(),
+            RoutingPolicy::BatchAware => avail
+                .iter()
+                .filter(|&&i| {
+                    let v = &views[i];
+                    v.max_batch > 1 && !v.outstanding.is_multiple_of(v.max_batch)
+                })
+                .max_by_key(|&&i| {
+                    let v = &views[i];
+                    (v.outstanding % v.max_batch, std::cmp::Reverse(v.id))
+                })
+                .copied()
+                .unwrap_or_else(least_queue),
+        })
+    }
+
+    #[test]
+    fn route_matches_the_collecting_oracle_on_random_views() {
+        let mut rng = dlbench_tensor::SeededRng::new(0x2007E);
+        for policy in RoutingPolicy::ALL {
+            let router = Router::new(policy);
+            let mut cursor = 0;
+            for call in 0..5_000 {
+                // Small ranges force ties in outstanding, id and fill.
+                let views: Vec<ReplicaView> = (0..rng.index(7))
+                    .map(|_| ReplicaView {
+                        id: rng.index(6),
+                        outstanding: rng.index(12),
+                        max_batch: 1 + rng.index(5),
+                        available: rng.bernoulli(0.7),
+                    })
+                    .collect();
+                let want = collected_route(policy, &mut cursor, &views);
+                assert_eq!(router.route(&views), want, "{policy} call {call}: {views:?}");
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use dlbench_quant::cost_split;
 use dlbench_serve::{Histogram, HistogramSummary, ModelDtype};
 use dlbench_simtime::{devices, CostModel, SimClock};
 use dlbench_tensor::SeededRng;
+use dlbench_trace::{span, Category};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -87,6 +88,21 @@ impl SimFleetConfig {
             autoscale: None,
             autoscale_tick_s: 0.25,
             dtype: ModelDtype::Fp32,
+        }
+    }
+
+    /// The [`fleet_sweep_doc`] cell at `rate_rps` under `policy`, with
+    /// the autoscaler on or off. The autoscaler's reaction time scales
+    /// to the cell's arrival window, so scaling is exercised at every
+    /// rate (a 1M-rps cell spans milliseconds of sim-time).
+    pub fn sweep_cell(&self, rate_rps: f64, policy: RoutingPolicy, autoscale: bool) -> Self {
+        let window_s = self.requests as f64 / rate_rps.max(1.0);
+        Self {
+            rate_rps,
+            policy,
+            autoscale_tick_s: (window_s / 50.0).clamp(1e-4, self.autoscale_tick_s),
+            autoscale: autoscale.then(|| AutoscaleConfig::for_window(window_s)),
+            ..self.clone()
         }
     }
 }
@@ -160,74 +176,117 @@ impl ToJson for SimFleetReport {
 
 const NS: f64 = 1e9;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What an event does when it fires. Only integers: a departing
+/// batch's arrival stamps stay on its replica.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// One request arrives (the next arrival is scheduled on pop).
     Arrival,
     /// A replica's max-wait deadline fires. Stale tokens are ignored.
     Flush { replica: usize, token: u64 },
-    /// A replica's in-flight batch finishes; `batch` holds each
-    /// member's arrival timestamp.
-    Departure { replica: usize, batch: Vec<u64> },
+    /// A replica's in-flight batch finishes.
+    Departure { replica: usize },
     /// Autoscaler observation tick.
     ScaleTick,
 }
 
-/// Heap key: time, then insertion sequence — full determinism without
-/// relying on heap stability.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// A scheduled event and its payload, ordered by time, then insertion
+/// sequence. `seq` is unique, so `kind` never decides the order: full
+/// determinism without relying on heap stability.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     at_ns: u64,
     seq: u64,
-    kind_rank: u8,
+    kind: EventKind,
 }
 
+/// Pending events, earliest `(at_ns, seq)` first.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+}
+
+impl Events {
+    fn push(&mut self, at_ns: u64, kind: EventKind) {
+        self.heap.push(Reverse(Event { at_ns, seq: self.seq, kind }));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        self.heap.pop().map(|Reverse(ev)| ev)
+    }
+}
+
+/// One simulated replica. Its id is its index in the cell's replica
+/// list, which only grows: a replica that leaves is marked dead.
 struct SimReplica {
-    id: usize,
     /// Sim-time before which the replica is warming (not routable).
     active_from_ns: u64,
     draining: bool,
     alive: bool,
     /// Arrival timestamps of queued requests.
     queue: VecDeque<u64>,
-    in_flight: usize,
+    /// Arrival timestamps of the in-flight batch, empty when idle. A
+    /// replica serves one batch at a time, so one buffer is reused.
+    batch: Vec<u64>,
     /// Flush-deadline generation; bumping it invalidates scheduled
     /// flushes.
     token: u64,
 }
 
 impl SimReplica {
-    fn new(id: usize, active_from_ns: u64) -> Self {
+    fn new(active_from_ns: u64) -> Self {
         Self {
-            id,
             active_from_ns,
             draining: false,
             alive: true,
             queue: VecDeque::new(),
-            in_flight: 0,
+            batch: Vec::new(),
             token: 0,
         }
     }
 
     fn outstanding(&self) -> usize {
-        self.queue.len() + self.in_flight
+        self.queue.len() + self.batch.len()
+    }
+
+    /// Starts serving up to `max_batch` queued requests at `now` on
+    /// replica `id` (this one) and schedules the batch's departure.
+    fn flush(
+        &mut self,
+        id: usize,
+        now: u64,
+        max_batch: usize,
+        svc_ns: &[u64],
+        events: &mut Events,
+    ) {
+        debug_assert!(!self.queue.is_empty(), "a flush needs a queued request");
+        debug_assert!(self.batch.is_empty(), "one batch in flight per replica");
+        let k = self.queue.len().min(max_batch);
+        self.batch.extend(self.queue.drain(..k));
+        self.token += 1; // invalidate any scheduled max-wait flush
+        events.push(now + svc_ns[k], EventKind::Departure { replica: id });
     }
 }
 
 /// Runs one simulated fleet cell to completion.
 pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
-    assert!(cfg.rate_rps > 0.0, "arrival rate must be positive");
-    assert!(cfg.requests > 0, "need at least one request");
-    assert!(cfg.pareto_alpha > 1.0, "pareto tail needs a finite mean");
+    run_cell(cfg, &service_ns(cfg))
+}
 
-    // Service time: the personality network's forward cost on the
-    // simulated GPU, per achievable batch size.
+/// Service time: the personality network's forward cost on the
+/// simulated GPU, in sim-time ns, per achievable batch size
+/// `0..=max_batch`. Reads only the host, dataset, scale, seed, batch
+/// cap and dtype, so every cell of a sweep shares one table.
+fn service_ns(cfg: &SimFleetConfig) -> Vec<u64> {
+    let _s = span(Category::Fleet, "sim_service_table");
     let setting = DefaultSetting::new(cfg.host, cfg.dataset);
     let network = trainer::build_cell_model(cfg.host, &setting, cfg.dataset, cfg.scale, cfg.seed);
     let cost_model = CostModel::new(devices::gtx_1080_ti(), cfg.host.execution_profile());
     let size = cfg.scale.image_size(cfg.dataset);
     let max_batch = cfg.max_batch.max(1);
-    let svc_ns: Vec<u64> = (0..=max_batch)
+    (0..=max_batch)
         .map(|k| {
             if k == 0 {
                 return 0;
@@ -242,7 +301,19 @@ pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
             };
             (seconds * NS).round() as u64
         })
-        .collect();
+        .collect()
+}
+
+/// Runs one cell's event loop on `svc_ns`, the [`service_ns`] table of
+/// a config with the same host, dataset, scale, seed, batch cap and
+/// dtype.
+fn run_cell(cfg: &SimFleetConfig, svc_ns: &[u64]) -> SimFleetReport {
+    let _s = span(Category::Fleet, "sim_cell");
+    assert!(cfg.rate_rps > 0.0, "arrival rate must be positive");
+    assert!(cfg.requests > 0, "need at least one request");
+    assert!(cfg.pareto_alpha > 1.0, "pareto tail needs a finite mean");
+    let max_batch = cfg.max_batch.max(1);
+    debug_assert_eq!(svc_ns.len(), max_batch + 1, "one service time per batch size");
 
     // Bounded Pareto inter-arrival gaps with the configured mean:
     // x_m * U^(-1/alpha) has mean alpha*x_m/(alpha-1), solved for x_m.
@@ -262,34 +333,15 @@ pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
     let tick_ns = ((cfg.autoscale_tick_s * NS) as u64).max(1);
 
     let mut replicas: Vec<SimReplica> =
-        (0..cfg.replicas.max(1)).map(|id| SimReplica::new(id, 0)).collect();
-    let mut next_replica_id = replicas.len();
+        (0..cfg.replicas.max(1)).map(|_| SimReplica::new(0)).collect();
     let mut replicas_peak = replicas.len();
     let mut scale_ups = 0usize;
     let mut scale_downs = 0usize;
 
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut payloads: std::collections::HashMap<u64, EventKind> = std::collections::HashMap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Reverse<Event>>,
-                payloads: &mut std::collections::HashMap<u64, EventKind>,
-                seq: &mut u64,
-                at_ns: u64,
-                kind: EventKind| {
-        let rank = match kind {
-            EventKind::Departure { .. } => 0,
-            EventKind::Flush { .. } => 1,
-            EventKind::Arrival => 2,
-            EventKind::ScaleTick => 3,
-        };
-        heap.push(Reverse(Event { at_ns, seq: *seq, kind_rank: rank }));
-        payloads.insert(*seq, kind);
-        *seq += 1;
-    };
-
-    push(&mut heap, &mut payloads, &mut seq, next_gap_ns(), EventKind::Arrival);
+    let mut events = Events::default();
+    events.push(next_gap_ns(), EventKind::Arrival);
     if autoscaler.is_some() {
-        push(&mut heap, &mut payloads, &mut seq, tick_ns, EventKind::ScaleTick);
+        events.push(tick_ns, EventKind::ScaleTick);
     }
 
     let mut emitted = 1usize;
@@ -298,129 +350,68 @@ pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
     let mut slo_breaches = 0usize;
     let mut latency_hist = Histogram::new();
     let mut window_hist = Histogram::new();
-    let mut batch_total = 0usize;
-    let mut batch_count = 0usize;
+    // Every flushed batch departs before the last request is answered,
+    // so `completed / batches` is the mean served batch size.
+    let mut batches = 0usize;
+    let mut views: Vec<ReplicaView> = Vec::new();
     let mut clock = SimClock::new();
     let mut last_ns = 0u64;
 
-    // Starts (or restarts) service on replica `r` at time `now`.
-    #[allow(clippy::too_many_arguments)]
-    fn flush(
-        r: &mut SimReplica,
-        now: u64,
-        max_batch: usize,
-        svc_ns: &[u64],
-        heap: &mut BinaryHeap<Reverse<Event>>,
-        payloads: &mut std::collections::HashMap<u64, EventKind>,
-        seq: &mut u64,
-        batch_total: &mut usize,
-        batch_count: &mut usize,
-    ) {
-        let k = r.queue.len().min(max_batch);
-        debug_assert!(k > 0 && r.in_flight == 0);
-        let batch: Vec<u64> = r.queue.drain(..k).collect();
-        r.in_flight = k;
-        r.token += 1; // invalidate any scheduled max-wait flush
-        *batch_total += k;
-        *batch_count += 1;
-        let rank = 0u8;
-        heap.push(Reverse(Event { at_ns: now + svc_ns[k], seq: *seq, kind_rank: rank }));
-        payloads.insert(*seq, EventKind::Departure { replica: r.id, batch });
-        *seq += 1;
-    }
-
     while completed + shed < cfg.requests {
-        let Some(Reverse(ev)) = heap.pop() else {
+        let Some(ev) = events.pop() else {
             unreachable!("event heap drained with requests outstanding");
         };
         let now = ev.at_ns;
         debug_assert!(now >= last_ns, "time must not run backwards");
         clock.advance((now - last_ns) as f64 / NS);
         last_ns = now;
-        let kind = payloads.remove(&ev.seq).expect("payload for every event");
 
-        match kind {
+        match ev.kind {
             EventKind::Arrival => {
                 if emitted < cfg.requests {
-                    push(
-                        &mut heap,
-                        &mut payloads,
-                        &mut seq,
-                        now + next_gap_ns(),
-                        EventKind::Arrival,
-                    );
+                    events.push(now + next_gap_ns(), EventKind::Arrival);
                     emitted += 1;
                 }
-                let views: Vec<ReplicaView> = replicas
-                    .iter()
-                    .filter(|r| r.alive)
-                    .map(|r| ReplicaView {
-                        id: r.id,
+                views.clear();
+                views.extend(replicas.iter().enumerate().filter(|(_, r)| r.alive).map(
+                    |(id, r)| ReplicaView {
+                        id,
                         outstanding: r.outstanding(),
                         max_batch,
                         available: !r.draining && now >= r.active_from_ns,
-                    })
-                    .collect();
-                let alive_ids: Vec<usize> =
-                    replicas.iter().filter(|r| r.alive).map(|r| r.id).collect();
-                let Some(view_idx) = router.route(&views) else {
+                    },
+                ));
+                let Some(i) = router.route(&views) else {
                     shed += 1;
                     continue;
                 };
-                let rid = alive_ids[view_idx];
-                let r = replicas.iter_mut().find(|r| r.id == rid).expect("routed to live");
+                let id = views[i].id;
+                let r = &mut replicas[id];
                 if r.outstanding() >= cfg.queue_capacity {
                     shed += 1;
                     continue;
                 }
                 r.queue.push_back(now);
-                if r.in_flight == 0 {
+                if r.batch.is_empty() {
                     if r.queue.len() >= max_batch {
-                        flush(
-                            r,
-                            now,
-                            max_batch,
-                            &svc_ns,
-                            &mut heap,
-                            &mut payloads,
-                            &mut seq,
-                            &mut batch_total,
-                            &mut batch_count,
-                        );
+                        r.flush(id, now, max_batch, svc_ns, &mut events);
                     } else if r.queue.len() == 1 {
                         let token = r.token;
-                        let rid = r.id;
-                        push(
-                            &mut heap,
-                            &mut payloads,
-                            &mut seq,
-                            now + max_wait_ns,
-                            EventKind::Flush { replica: rid, token },
-                        );
+                        events.push(now + max_wait_ns, EventKind::Flush { replica: id, token });
                     }
                 }
             }
             EventKind::Flush { replica, token } => {
-                let Some(r) = replicas.iter_mut().find(|r| r.id == replica && r.alive) else {
-                    continue;
-                };
-                if r.token != token || r.in_flight > 0 || r.queue.is_empty() {
+                let r = &mut replicas[replica];
+                if !r.alive || r.token != token || !r.batch.is_empty() || r.queue.is_empty() {
                     continue; // stale deadline
                 }
-                flush(
-                    r,
-                    now,
-                    max_batch,
-                    &svc_ns,
-                    &mut heap,
-                    &mut payloads,
-                    &mut seq,
-                    &mut batch_total,
-                    &mut batch_count,
-                );
+                r.flush(replica, now, max_batch, svc_ns, &mut events);
             }
-            EventKind::Departure { replica, batch } => {
-                for &arrived in &batch {
+            EventKind::Departure { replica } => {
+                let r = &mut replicas[replica];
+                debug_assert!(r.alive, "departure from a live replica");
+                for &arrived in &r.batch {
                     let ms = (now - arrived) as f64 / 1e6;
                     latency_hist.record(ms);
                     window_hist.record(ms);
@@ -428,39 +419,18 @@ pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
                         slo_breaches += 1;
                     }
                 }
-                completed += batch.len();
-                let r = replicas
-                    .iter_mut()
-                    .find(|r| r.id == replica && r.alive)
-                    .expect("departure from a live replica");
-                r.in_flight = 0;
+                completed += r.batch.len();
+                batches += 1;
+                r.batch.clear();
                 if r.queue.is_empty() {
                     if r.draining {
                         r.alive = false; // drained: leave the fleet
                     }
                 } else if r.queue.len() >= max_batch || r.queue[0] + max_wait_ns <= now {
-                    flush(
-                        r,
-                        now,
-                        max_batch,
-                        &svc_ns,
-                        &mut heap,
-                        &mut payloads,
-                        &mut seq,
-                        &mut batch_total,
-                        &mut batch_count,
-                    );
+                    r.flush(replica, now, max_batch, svc_ns, &mut events);
                 } else {
                     let token = r.token;
-                    let rid = r.id;
-                    let due = r.queue[0] + max_wait_ns;
-                    push(
-                        &mut heap,
-                        &mut payloads,
-                        &mut seq,
-                        due,
-                        EventKind::Flush { replica: rid, token },
-                    );
+                    events.push(r.queue[0] + max_wait_ns, EventKind::Flush { replica, token });
                 }
             }
             EventKind::ScaleTick => {
@@ -483,8 +453,7 @@ pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
                     ScaleDecision::Hold => {}
                     ScaleDecision::Up(to) => {
                         for _ in provisioned..to {
-                            replicas.push(SimReplica::new(next_replica_id, now + warmup_ns));
-                            next_replica_id += 1;
+                            replicas.push(SimReplica::new(now + warmup_ns));
                         }
                         scale_ups += 1;
                     }
@@ -509,7 +478,7 @@ pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
                 let live_now = replicas.iter().filter(|r| r.alive && !r.draining).count();
                 replicas_peak = replicas_peak.max(live_now);
                 if completed + shed < cfg.requests {
-                    push(&mut heap, &mut payloads, &mut seq, now + tick_ns, EventKind::ScaleTick);
+                    events.push(now + tick_ns, EventKind::ScaleTick);
                 }
             }
         }
@@ -527,7 +496,7 @@ pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
         shed_rate: shed as f64 / cfg.requests as f64,
         slo_burn: if completed == 0 { 0.0 } else { slo_breaches as f64 / completed as f64 },
         latency_ms: latency_hist.summary(),
-        mean_batch: if batch_count == 0 { 0.0 } else { batch_total as f64 / batch_count as f64 },
+        mean_batch: if batches == 0 { 0.0 } else { completed as f64 / batches as f64 },
         replicas_initial: cfg.replicas.max(1),
         replicas_final,
         replicas_peak,
@@ -539,27 +508,22 @@ pub fn simulate_fleet(cfg: &SimFleetConfig) -> SimFleetReport {
 
 /// Sweeps arrival rates × routing policies × autoscaling on/off into
 /// the `BENCH_fleet.json` document. Pure sim-time: byte-identical
-/// across runs of the same parameters.
+/// across runs of the same parameters. The cells differ from `base`
+/// only in rate, policy and autoscaler, which the service-time table
+/// does not read, so one table built from `base` serves them all.
 pub fn fleet_sweep_doc(
     base: &SimFleetConfig,
     rates: &[f64],
     policies: &[RoutingPolicy],
     autoscale_modes: &[bool],
 ) -> JsonValue {
+    let svc_ns = service_ns(base);
     let mut rows = Vec::new();
     for &rate in rates {
         for &policy in policies {
             for &autoscale in autoscale_modes {
-                let mut cfg = base.clone();
-                cfg.rate_rps = rate;
-                cfg.policy = policy;
-                // Scale the autoscaler's reaction time to the cell's
-                // arrival window so scaling is exercised at every rate
-                // (a 1M-rps cell spans milliseconds of sim-time).
-                let window_s = base.requests as f64 / rate.max(1.0);
-                cfg.autoscale_tick_s = (window_s / 50.0).clamp(1e-4, base.autoscale_tick_s);
-                cfg.autoscale = autoscale.then(|| AutoscaleConfig::for_window(window_s));
-                rows.push(simulate_fleet(&cfg).to_json());
+                let cfg = base.sweep_cell(rate, policy, autoscale);
+                rows.push(run_cell(&cfg, &svc_ns).to_json());
             }
         }
     }
@@ -657,6 +621,24 @@ mod tests {
         let (p50_fp32, p50_int8) =
             (fp32.latency_ms.as_ref().unwrap().p50, int8.latency_ms.as_ref().unwrap().p50);
         assert!(p50_int8 <= p50_fp32, "int8 p50 {p50_int8} vs fp32 {p50_fp32}");
+    }
+
+    #[test]
+    fn simultaneous_events_pop_in_push_order_whatever_their_kind() {
+        let mut events = Events::default();
+        events.push(9, EventKind::Arrival);
+        let kinds = [
+            EventKind::ScaleTick,
+            EventKind::Flush { replica: 1, token: 4 },
+            EventKind::Arrival,
+            EventKind::Departure { replica: 0 },
+        ];
+        for kind in kinds {
+            events.push(5, kind);
+        }
+        let popped: Vec<EventKind> = std::iter::from_fn(|| events.pop()).map(|e| e.kind).collect();
+        assert_eq!(popped[..4], kinds);
+        assert_eq!(popped[4], EventKind::Arrival);
     }
 
     #[test]

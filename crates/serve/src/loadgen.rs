@@ -61,6 +61,8 @@ pub struct LoadReport {
     pub achieved_rps: f64,
     /// Client-observed latency of `200` replies, milliseconds.
     pub latency_ms: Histogram,
+    /// Sum of the batch sizes the `200` replies report riding in.
+    pub batch_size_sum: usize,
 }
 
 impl LoadReport {
@@ -71,6 +73,12 @@ impl LoadReport {
         } else {
             self.shed as f64 / self.sent as f64
         }
+    }
+
+    /// Mean batch size of the `200` replies, weighted by request (a
+    /// batch of 8 counts 8 times); `None` when nothing succeeded.
+    pub fn batch_mean(&self) -> Option<f64> {
+        (self.ok > 0).then(|| self.batch_size_sum as f64 / self.ok as f64)
     }
 
     /// JSON row for reports and the bench harness.
@@ -154,18 +162,21 @@ struct Tally {
     shed: usize,
     errors: usize,
     latency_ms: Histogram,
+    batch_size_sum: usize,
 }
 
 impl Tally {
     fn new() -> Self {
-        Self { ok: 0, shed: 0, errors: 0, latency_ms: Histogram::new() }
+        Self { ok: 0, shed: 0, errors: 0, latency_ms: Histogram::new(), batch_size_sum: 0 }
     }
 
     fn observe(&mut self, outcome: Result<(u16, JsonValue), ServeError>, elapsed: Duration) {
         match outcome {
-            Ok((200, _)) => {
+            Ok((200, reply)) => {
                 self.ok += 1;
                 self.latency_ms.record(elapsed.as_secs_f64() * 1e3);
+                let batch_size = reply["batch_size"].as_f64().unwrap_or(0.0) as usize;
+                self.batch_size_sum = self.batch_size_sum.saturating_add(batch_size);
             }
             Ok((503, _)) => self.shed += 1,
             _ => self.errors += 1,
@@ -177,6 +188,7 @@ impl Tally {
         self.shed += other.shed;
         self.errors += other.errors;
         self.latency_ms.merge(&other.latency_ms);
+        self.batch_size_sum = self.batch_size_sum.saturating_add(other.batch_size_sum);
     }
 }
 
@@ -241,6 +253,7 @@ pub fn run(addr: SocketAddr, model: &str, inputs: &[Vec<f32>], config: &LoadConf
         wall_s,
         achieved_rps: tally.ok as f64 / wall_s,
         latency_ms: tally.latency_ms,
+        batch_size_sum: tally.batch_size_sum,
     }
 }
 
@@ -289,7 +302,8 @@ pub fn serve_and_drive(
 /// open loop at `rate_rps` (the row's plain fields), where one model's
 /// requests rarely overlap and the batcher flushes each at once, then
 /// closed loop at `2 × max_batch` clients (the `closed_*` fields), which
-/// keeps the batcher backlogged so the deadline builds batches.
+/// keeps the batcher backlogged so the deadline builds batches;
+/// `closed_batch_mean` is the request-weighted mean batch size there.
 pub fn sweep_personalities(
     scale: Scale,
     seed: u64,
@@ -330,6 +344,10 @@ pub fn sweep_personalities(
             row.extend([
                 ("closed_concurrency".to_string(), JsonValue::from(concurrency)),
                 ("closed_achieved_rps".to_string(), JsonValue::from(closed.achieved_rps)),
+                (
+                    "closed_batch_mean".to_string(),
+                    closed.batch_mean().map_or(JsonValue::Null, JsonValue::from),
+                ),
                 ("closed_latency_ms".to_string(), closed.latency_json()),
             ]);
             rows.push(JsonValue::Object(row));

@@ -62,17 +62,8 @@ impl Histogram {
         if self.samples.is_empty() {
             return None;
         }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-        let p = p.clamp(0.0, 100.0);
-        let rank = p / 100.0 * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            return Some(sorted[lo]);
-        }
-        let frac = rank - lo as f64;
-        Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+        let [v] = select_percentiles(&mut self.samples.clone(), [p]);
+        Some(v)
     }
 
     /// Absorbs every sample of `other` (per-thread histograms folding
@@ -82,17 +73,48 @@ impl Histogram {
     }
 
     /// The p50/p95/p99 summary every latency report in the suite
-    /// prints; `None` when empty.
+    /// prints; `None` when empty. One copy of the samples, one
+    /// selection per rank.
     pub fn summary(&self) -> Option<HistogramSummary> {
-        Some(HistogramSummary {
-            count: self.len(),
-            mean: self.mean()?,
-            p50: self.percentile(50.0)?,
-            p95: self.percentile(95.0)?,
-            p99: self.percentile(99.0)?,
-            max: self.percentile(100.0)?,
-        })
+        let mean = self.mean()?;
+        let [p50, p95, p99, max] =
+            select_percentiles(&mut self.samples.clone(), [50.0, 95.0, 99.0, 100.0]);
+        Some(HistogramSummary { count: self.len(), mean, p50, p95, p99, max })
     }
+}
+
+/// Orders samples, which are finite.
+fn by_value(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("samples are finite")
+}
+
+/// Percentiles `ps` (ascending) of the non-empty `samples`, which it
+/// reorders. The lower closest rank of each is one selection within
+/// the part at or above the previous one; the upper closest rank is
+/// the minimum of the part above the lower. Equal samples are equal
+/// bits (a duration is never `-0.0`), so these are the order
+/// statistics a sorted copy holds, and every percentile equals the
+/// sort-and-interpolate value bitwise.
+fn select_percentiles<const N: usize>(samples: &mut [f64], ps: [f64; N]) -> [f64; N] {
+    let last = samples.len() - 1;
+    let mut rest = samples;
+    let mut start = 0; // the rank of `rest[0]`
+    ps.map(|p| {
+        let rank = p.clamp(0.0, 100.0) / 100.0 * last as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        let part = std::mem::take(&mut rest);
+        let (_, &mut lo_v, above) = part.select_nth_unstable_by(lo - start, by_value);
+        let v = if lo == hi {
+            lo_v
+        } else {
+            let hi_v = above.iter().copied().min_by(by_value).expect("a sample above rank lo");
+            lo_v + (hi_v - lo_v) * (rank - lo as f64)
+        };
+        rest = &mut part[lo - start..];
+        start = lo;
+        v
+    })
 }
 
 /// Point-in-time percentile summary of a [`Histogram`].
@@ -266,6 +288,7 @@ impl ServeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlbench_tensor::SeededRng;
 
     #[test]
     fn empty_histogram_has_no_percentiles() {
@@ -323,6 +346,94 @@ mod tests {
         h.record(3.0);
         assert_eq!(h.len(), 1);
         assert_eq!(h.percentile(99.0), Some(3.0));
+    }
+
+    /// The sort-based percentile the selection replaced, kept as the
+    /// oracle: clone, sort, interpolate between closest ranks.
+    fn sorted_percentile(samples: &[f64], p: f64) -> Option<f64> {
+        if samples.is_empty() {
+            return None;
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+        let p = p.clamp(0.0, 100.0);
+        let rank = p / 100.0 * (sorted.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        if lo == hi {
+            return Some(sorted[lo]);
+        }
+        let frac = rank - lo as f64;
+        Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    }
+
+    fn sorted_summary(h: &Histogram) -> Option<[u64; 6]> {
+        let pct = |p| sorted_percentile(&h.samples, p).map(f64::to_bits);
+        Some([h.len() as u64, h.mean()?.to_bits(), pct(50.0)?, pct(95.0)?, pct(99.0)?, pct(100.0)?])
+    }
+
+    fn summary_bits(h: &Histogram) -> Option<[u64; 6]> {
+        let s = h.summary()?;
+        Some([
+            s.count as u64,
+            s.mean.to_bits(),
+            s.p50.to_bits(),
+            s.p95.to_bits(),
+            s.p99.to_bits(),
+            s.max.to_bits(),
+        ])
+    }
+
+    /// `len` non-negative samples; with `distinct` small, mostly ties.
+    fn random_histogram(rng: &mut SeededRng, len: usize, distinct: usize) -> Histogram {
+        let mut h = Histogram::new();
+        for _ in 0..len {
+            let v = if distinct > 0 {
+                rng.index(distinct) as f64 * 0.25
+            } else {
+                f64::from(rng.uniform(0.0, 50.0)).powi(2)
+            };
+            h.record(v);
+        }
+        h
+    }
+
+    #[test]
+    fn selection_matches_the_sorted_oracle_bitwise() {
+        let mut rng = SeededRng::new(0x5E1EC7);
+        let lengths = (1..=64).chain((0..120).map(|_| 1 + rng.index(2_000))).chain([1_999, 2_000]);
+        for len in lengths.collect::<Vec<_>>() {
+            for distinct in [0, 1, 3, 40] {
+                let h = random_histogram(&mut rng, len, distinct);
+                assert_eq!(summary_bits(&h), sorted_summary(&h), "len {len}, distinct {distinct}");
+                let random_p = f64::from(rng.uniform(-10.0, 110.0));
+                for p in [0.0, 50.0, 95.0, 99.0, 100.0, 99.9, random_p] {
+                    assert_eq!(
+                        h.percentile(p).map(f64::to_bits),
+                        sorted_percentile(&h.samples, p).map(f64::to_bits),
+                        "len {len}, distinct {distinct}, p {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merged_summary_equals_recording_the_union() {
+        let mut rng = SeededRng::new(0x3E6E);
+        for _ in 0..50 {
+            let (n, m) = (rng.index(300), 1 + rng.index(300));
+            let (ties_a, ties_b) = (rng.index(5), rng.index(5));
+            let mut a = random_histogram(&mut rng, n, ties_a);
+            let b = random_histogram(&mut rng, m, ties_b);
+            let mut union = Histogram::new();
+            for &v in a.samples.iter().chain(&b.samples) {
+                union.record(v);
+            }
+            a.merge(&b);
+            assert_eq!(summary_bits(&a), summary_bits(&union));
+            assert_eq!(summary_bits(&a), sorted_summary(&union));
+        }
     }
 
     #[test]

@@ -218,3 +218,31 @@ fn endless_request_line_is_refused_after_the_head_cap() {
     assert!(elapsed < Duration::from_secs(2), "refusal took {elapsed:?}");
     server.shutdown();
 }
+
+#[test]
+fn loadgen_batch_mean_agrees_with_the_servers_batch_counts() {
+    let config =
+        BatchConfig { max_batch: 4, max_wait: Duration::from_millis(5), queue_capacity: 256 };
+    let registry = registry_with("m", FrameworkKind::TensorFlow, config);
+    let server = serve(registry, "127.0.0.1:0").expect("ephemeral bind");
+    let addr = server.addr();
+    let load =
+        loadgen::LoadConfig { mode: loadgen::LoadMode::Closed { concurrency: 8 }, requests: 48 };
+    let report = loadgen::run(addr, "m", &tiny_inputs(4), &load);
+    assert_eq!(report.ok, 48, "every request answered");
+
+    // Each reply reports the batch it rode, so the client's mean is the
+    // server's batch-size distribution weighted by batch size.
+    let (_, metrics) = loadgen::http_request(addr, "GET", "/metrics", None).unwrap();
+    let metrics = dlbench_json::parse(&metrics).unwrap();
+    let (mut requests, mut weighted) = (0.0, 0.0);
+    for entry in metrics["m"]["batch_size_counts"].as_array().unwrap() {
+        let (size, count) =
+            (entry["batch_size"].as_f64().unwrap(), entry["count"].as_f64().unwrap());
+        requests += size * count;
+        weighted += size * size * count;
+    }
+    assert_eq!(requests, 48.0);
+    assert_eq!(report.batch_mean(), Some(weighted / requests));
+    server.shutdown();
+}

@@ -75,6 +75,11 @@ cargo run -p dlbench-cli --release --locked -q -- fleet --replicas 2 \
     --workers 2 --max-steps 20 > /dev/null
 cargo test -p dlbench-integration-tests --test fleet --locked -q
 
+echo "==> fleet sweep golden (18 simulated cells, byte-identical to tests/goldens/fleet_sweep_doc.json)"
+cargo run -p dlbench-cli --release --locked -q -- fleet --sweep --replicas 4 \
+    --rates 200,50000,1000000 --out target/dlbench-reports/fleet_sweep_doc.json > /dev/null
+cmp tests/goldens/fleet_sweep_doc.json target/dlbench-reports/fleet_sweep_doc.json
+
 echo "==> fleet determinism gate (bit-transparent across routing x replicas x scaling)"
 cargo test -p dlbench-integration-tests --test determinism --locked -q \
     fleet_serving_is_bit_transparent

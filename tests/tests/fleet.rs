@@ -9,14 +9,17 @@
 //!   mixes model versions within one response — every prediction's
 //!   logits are bitwise those of the version it reports;
 //! * a live `dist-train` run streams epoch-boundary checkpoints that
-//!   promote into serving mid-run.
+//!   promote into serving mid-run;
+//! * the fleet simulator's sweep document is pinned byte for byte by a
+//!   golden file.
 
 use dlbench_data::DatasetKind;
 use dlbench_fleet::{
-    dist_training_stream, Fleet, FleetConfig, HealthGateConfig, Promoter, PromotionOutcome,
-    RoutingPolicy,
+    dist_training_stream, fleet_sweep_doc, simulate_fleet, Fleet, FleetConfig, HealthGateConfig,
+    Promoter, PromotionOutcome, RoutingPolicy, SimFleetConfig,
 };
 use dlbench_frameworks::{DefaultSetting, FrameworkKind, Scale};
+use dlbench_json::ToJson;
 use dlbench_serve::{loadgen, BatchConfig, ModelSpec};
 use dlbench_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -248,5 +251,42 @@ fn routing_policies_parse_and_roundtrip() {
     // fleet crate (dlbench-core re-validates routing strings itself).
     for name in ["rr", "least-queue", "batch-aware"] {
         assert!(RoutingPolicy::parse(name).is_some(), "spec spelling `{name}` must parse");
+    }
+}
+
+/// `dlbench fleet --sweep --replicas 4 --rates 200,50000,1000000`, as
+/// written to `tests/goldens/fleet_sweep_doc.json`: 18 cells of 2,000
+/// requests at seed 42. At 200 rps the autoscaler drains the fleet to
+/// one replica; at 50k and 1M rps it scales up and the fleet sheds.
+#[test]
+fn fleet_sweep_doc_matches_golden_and_per_cell_simulation() {
+    let mut base = SimFleetConfig::new(0.0, 2_000);
+    base.replicas = 4;
+    let rates = [200.0, 50_000.0, 1_000_000.0];
+    let modes = [false, true];
+    let doc = fleet_sweep_doc(&base, &rates, &RoutingPolicy::ALL, &modes);
+    let golden_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens/fleet_sweep_doc.json");
+    let golden = std::fs::read_to_string(golden_path).expect("golden sweep readable");
+    assert_eq!(
+        doc.pretty() + "\n",
+        golden,
+        "fleet sweep drifted from tests/goldens/fleet_sweep_doc.json"
+    );
+
+    // The sweep shares one service-time table across its cells; each
+    // cell simulated alone builds its own and must report the same.
+    let rows = doc["rows"].as_array().expect("rows");
+    let mut cells = Vec::new();
+    for &rate in &rates {
+        for &policy in &RoutingPolicy::ALL {
+            for &autoscale in &modes {
+                cells.push(base.sweep_cell(rate, policy, autoscale));
+            }
+        }
+    }
+    assert_eq!(rows.len(), cells.len());
+    for (row, cell) in rows.iter().zip(&cells) {
+        assert_eq!(row.pretty(), simulate_fleet(cell).to_json().pretty());
     }
 }

@@ -150,3 +150,21 @@ fn traced_training_run_nests_train_over_layers_over_kernels() {
         "no layer span carries a FLOP estimate"
     );
 }
+
+#[test]
+fn traced_fleet_sweep_builds_one_service_table_for_all_cells() {
+    let _gate = gate();
+    let _armed = Armed::new();
+    use dlbench_fleet::{fleet_sweep_doc, RoutingPolicy, SimFleetConfig};
+
+    let base = SimFleetConfig::new(0.0, 200);
+    let doc =
+        fleet_sweep_doc(&base, &[500.0, 50_000.0], &[RoutingPolicy::LeastQueue], &[false, true]);
+    assert_eq!(doc["rows"].as_array().map(<[_]>::len), Some(4));
+    let events = dlbench_trace::take_events();
+    let count = |name: &str| {
+        events.iter().filter(|e| e.cat == Category::Fleet && e.is_span() && e.name == name).count()
+    };
+    assert_eq!(count("sim_service_table"), 1, "one service-time table per sweep");
+    assert_eq!(count("sim_cell"), 4, "one span per simulated cell");
+}
