@@ -722,6 +722,20 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// Parses `raw` as a positive, finite number, naming it `what` in errors.
+fn positive_finite(what: &str, raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        Ok(_) => Err(format!("{what} `{raw}` must be positive and finite")),
+        Err(_) => Err(format!("bad {what} `{raw}`")),
+    }
+}
+
+/// `--target-p99-ms`, the fleet's latency SLO: positive and finite.
+fn target_p99_ms(args: &ParsedArgs, default: f64) -> Result<f64, String> {
+    args.get("target-p99-ms").map_or(Ok(default), |raw| positive_finite("--target-p99-ms", raw))
+}
+
 fn parse_routing(raw: &str) -> Result<dlbench_fleet::RoutingPolicy, String> {
     dlbench_fleet::RoutingPolicy::parse(raw)
         .ok_or_else(|| format!("unknown routing policy `{raw}` (rr|least-queue|batch-aware)"))
@@ -737,11 +751,7 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
         .get("rates")
         .unwrap_or("1000,50000,1000000")
         .split(',')
-        .map(|s| match s.trim().parse::<f64>() {
-            Ok(rate) if rate.is_finite() && rate > 0.0 => Ok(rate),
-            Ok(_) => Err(format!("rate `{s}` must be positive and finite")),
-            Err(_) => Err(format!("bad rate `{s}`")),
-        })
+        .map(|s| positive_finite("rate", s))
         .collect::<Result<_, _>>()?;
     let policies: Vec<RoutingPolicy> = match args.get("routing") {
         None => RoutingPolicy::ALL.to_vec(),
@@ -764,7 +774,7 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
     base.seed = args.get_parsed("seed", 42u64)?;
     base.replicas = args.get_parsed("replicas", 2usize)?.max(1);
     base.max_batch = args.get_parsed("max-batch", 8usize)?.max(1);
-    base.target_p99_ms = args.get_parsed("target-p99-ms", 20.0f64)?;
+    base.target_p99_ms = target_p99_ms(args, 20.0)?;
     base.dtype = parse_dtype(args.get("quantize"))?;
     let doc = fleet_sweep_doc(&base, &rates, &policies, autoscale_modes);
     let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_fleet.json");
@@ -794,7 +804,7 @@ pub fn fleet(args: &ParsedArgs) -> Result<(), String> {
         replicas: args.get_parsed("replicas", 2usize)?.max(1),
         policy: parse_routing(args.get("routing").unwrap_or("least-queue"))?,
         batch: batch_config_from_args(args)?,
-        target_p99_ms: args.get_parsed("target-p99-ms", 50.0f64)?,
+        target_p99_ms: target_p99_ms(args, 50.0)?,
     };
     let dtype = parse_dtype(args.get("quantize"))?;
     let spec = ModelSpec { name: "default".into(), host, setting, dataset, scale, seed, dtype };

@@ -16,6 +16,9 @@ use crate::shape::Shape;
 /// recycled through the global [`crate::arena`], so steady-state
 /// training and serving loops — which produce the same tensor shapes
 /// every iteration — stop touching the system allocator after warm-up.
+/// The arena keeps only as many buffers of a length as it handed out,
+/// so dropping a tensor built with [`Tensor::from_vec`] at a length the
+/// arena never handed out (a whole data split, say) frees its storage.
 #[derive(Debug, PartialEq)]
 pub struct Tensor {
     dims: Vec<usize>,

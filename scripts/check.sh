@@ -134,20 +134,16 @@ rm -f target/dlbench-reports/BENCH_text.first.json
 echo "==> suitebench unit tests (benchmark harness, release profile mirror)"
 cargo test --release --offline -q --manifest-path suitebench/Cargo.toml
 
-echo "==> infer-paper smoke (seed 42, 2 s; digests and seed-42 reference checked)"
-cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
-    --workload infer-paper --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
+echo "==> infer-paper smoke (seed 42, 2 s; digests and seed-42 reference checked, peak RSS < 320 MB)"
+sh scripts/suitebench-smoke.sh infer-paper 320
 
-echo "==> paper-tiny smoke (seed 42, 2 s; seed-42 losses and warm-up bit equality checked)"
-cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
-    --workload paper-tiny --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
+echo "==> paper-tiny smoke (seed 42, 2 s; seed-42 losses and warm-up bit equality checked, peak RSS < 32 MB)"
+sh scripts/suitebench-smoke.sh paper-tiny 32
 
-echo "==> serve-mix smoke (seed 42, 2 s; fp32 and int8 replies bitwise vs local forwards)"
-cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
-    --workload serve-mix --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
+echo "==> serve-mix smoke (seed 42, 2 s; fp32 and int8 replies bitwise vs local forwards, peak RSS < 64 MB)"
+sh scripts/suitebench-smoke.sh serve-mix 64
 
 echo "==> fleet-sweep smoke (seed 42, 2 s; seed-42 completed, shed and mean_batch checked)"
-cargo run --release --quiet --offline --manifest-path suitebench/Cargo.toml -- \
-    --workload fleet-sweep --seed 42 --seconds 2 --trace 0 | grep -q '"correct": true'
+sh scripts/suitebench-smoke.sh fleet-sweep
 
 echo "==> OK"
