@@ -2,8 +2,8 @@
 //!
 //! * execution-style profiles (graph-batched vs layer-wise vs eager) —
 //!   the same workload costed under each framework profile;
-//! * conv lowering: im2col+GEMM (the shipped path) vs a naive direct
-//!   convolution reference.
+//! * conv lowering: the shipped fused frame-gather kernel (`Conv2d::forward`,
+//!   which builds no patch matrix) vs a naive direct convolution reference.
 
 use std::hint::black_box;
 
@@ -14,8 +14,8 @@ use dlbench_nn::{Conv2d, Initializer, Layer};
 use dlbench_simtime::{devices, profiles, CostModel};
 use dlbench_tensor::{SeededRng, Tensor};
 
-/// Naive direct convolution (reference implementation for the im2col
-/// ablation).
+/// Naive direct convolution (reference implementation for the
+/// conv-lowering ablation).
 fn direct_conv(
     input: &Tensor,   // [N, C, H, W]
     weight: &Tensor,  // [OC, C, K, K]
@@ -49,7 +49,7 @@ fn bench_conv_lowering(h: &mut Harness) {
     let x = Tensor::randn(&[4, 8, 16, 16], 0.0, 1.0, &mut rng);
     let mut conv = Conv2d::new(8, 16, 5, 1, 0, Initializer::Xavier, &mut rng);
     let weight = conv.weight().clone();
-    h.bench("conv_lowering/im2col_gemm", 0, || conv.forward(black_box(&x), false));
+    h.bench("conv_lowering/fused", 0, || conv.forward(black_box(&x), false));
     let mut out = Tensor::zeros(&[4, 16, 12, 12]);
     h.bench("conv_lowering/naive_direct", 0, || {
         direct_conv(black_box(&x), black_box(&weight), &mut out);

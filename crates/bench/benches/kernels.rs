@@ -1,7 +1,7 @@
 //! Kernel throughput harness and CI perf-regression gate.
 //!
 //! Every record carries achieved GFLOP/s next to its timing, and the
-//! binary itself enforces the regression gate: measures the four GEMM
+//! binary itself enforces the regression gate: measures the three GEMM
 //! variants, the int8 inference kernels (`gemm_i8`, `quantize_i8`,
 //! `dequantize_i8`), `im2col`, the convolution forward of every
 //! personality conv layer in fp32 and int8 and its fp32 backward, and
@@ -24,8 +24,8 @@ use dlbench_frameworks::{arch_defaults, FrameworkKind};
 use dlbench_nn::{Conv1dBank, Conv2d, Embedding, Initializer, Layer};
 use dlbench_quant::{QConv1dBank, QConv2d};
 use dlbench_tensor::{
-    dequantize_i8, gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, im2col, quantize_i8,
-    Conv2dGeometry, SeededRng, Tensor,
+    dequantize_i8, gemm, gemm_a_bt, gemm_at_b, gemm_i8, im2col, quantize_i8, Conv2dGeometry,
+    SeededRng, Tensor,
 };
 
 /// Total measurement passes the gate may take before judging: a shared
@@ -43,15 +43,11 @@ fn bench_gemm_variants(h: &mut Harness, rng: &mut SeededRng) {
     let n = 128;
     let a = Tensor::randn(&[n, n], 0.0, 1.0, rng);
     let b = Tensor::randn(&[n, n], 0.0, 1.0, rng);
-    let bias = Tensor::randn(&[n], 0.0, 1.0, rng);
     let mut c = vec![0.0f32; n * n];
     let flops = gemm_flops(n, n, n);
     h.bench("gemm/128x128x128", flops, || {
         c.fill(0.0);
         gemm(n, n, n, a.data(), b.data(), &mut c);
-    });
-    h.bench("gemm_bias/128x128x128", flops, || {
-        gemm_bias(n, n, n, a.data(), b.data(), bias.data(), &mut c);
     });
     h.bench("gemm_at_b/128x128x128", flops, || {
         c.fill(0.0);

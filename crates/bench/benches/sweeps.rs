@@ -73,8 +73,4 @@ fn main() {
          (§II: 'if the learning rate is too large, the training process may not be sophisticated \
          enough and may suffer from fluctuation')."
     );
-
-    println!("\nRegularizer ablation (extension — de-confounded Table IX follow-up)\n");
-    let report = dlbench_core::extensions::regularizer_robustness(Scale::Tiny, 7);
-    println!("{}", report.render());
 }

@@ -9,17 +9,19 @@
 //!   and tracing overhead;
 //! * `ablation` — ablations of the design choices DESIGN.md calls out
 //!   (execution styles, conv lowering);
-//! * `dist`, `serve`, `fleet`, `quant`, `text`, `spec` — sweeps that
-//!   each write one JSON document;
+//! * `quant`, `text` — fp32→int8 transfer sweeps that each write one
+//!   JSON document;
 //! * `sweeps` — batch-size / learning-rate sensitivity sweeps (the
-//!   hyperparameter-interaction discussion of the paper's §II);
-//! * `figures` — the paper harness: regenerates **every table and
-//!   figure** of the paper's evaluation. Scale is controlled by
-//!   `DLBENCH_SCALE` (`tiny`/`small`/`paper`).
+//!   hyperparameter-interaction discussion of the paper's §II).
+//!
+//! The paper's tables and figures and the dist, serve, fleet and spec
+//! sweeps are not bench targets: each is written by one `dlbench`
+//! command only (`run --json`, `dist-train --sweep`, `loadgen --sweep`,
+//! `fleet --sweep`, `run-spec`).
 //!
 //! Every target reads its flags through [`BenchArgs`] and writes into
-//! [`reports_dir`] through [`write_report`]. The timed targets share one
-//! timing loop, [`Harness`], and the kernel perf gate's helpers
+//! `target/dlbench-reports` through [`write_report`]. The timed targets
+//! share one timing loop, [`Harness`], and the kernel perf gate's helpers
 //! ([`load_baseline`], [`gate_failures`], [`merge_best`]); `quant` and
 //! `text` share the fp32→int8 transfer helpers ([`both_correct`],
 //! [`attack_row`]).
@@ -103,7 +105,7 @@ impl BenchArgs {
 /// binaries with the *package* root as cwd, so a relative `target/`
 /// would land inside `crates/bench/`; the real target dir is recovered
 /// from the executable's own path (`<target>/<profile>/deps/<bench>-<hash>`).
-pub fn reports_dir() -> PathBuf {
+fn reports_dir() -> PathBuf {
     let from_exe = std::env::current_exe().ok().and_then(|exe| {
         let deps = exe.parent()?;
         if deps.file_name()? != "deps" {
@@ -114,7 +116,7 @@ pub fn reports_dir() -> PathBuf {
     from_exe.unwrap_or_else(|| Path::new("target").join("dlbench-reports"))
 }
 
-/// Writes `contents` to `file` under [`reports_dir`] and returns the
+/// Writes `contents` to `file` under `reports_dir()` and returns the
 /// path. A bench target has no caller to hand an error to, and scripts
 /// check the file it leaves behind, so a failed write ends the process
 /// with exit code 1 instead of passing silently.
@@ -191,7 +193,7 @@ impl Harness {
         self.records.push(Record { id, mean_ns: best_ns, iters, gflops });
     }
 
-    /// Writes the records to `BENCH_<name>.json` under [`reports_dir`]
+    /// Writes the records to `BENCH_<name>.json` under `reports_dir()`
     /// and returns the path; writes nothing when nothing was timed
     /// (`--list`, or a filter that matched no id).
     pub fn write(&self, name: &str) -> Option<PathBuf> {

@@ -683,9 +683,9 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
             .split(',')
             .map(|s| s.trim().parse::<u64>().map_err(|_| format!("bad deadline `{s}`")))
             .collect::<Result<_, _>>()?;
-        let requests = args.get_parsed("requests", 64usize)?;
-        let rate = args.get_parsed("rate", 200.0f64)?;
-        let max_batch = args.get_parsed("max-batch", 8usize)?;
+        let requests = positive_count(args, "requests", 64)?;
+        let rate = positive_option(args, "rate", 200.0)?;
+        let max_batch = positive_count(args, "max-batch", 8)?;
         let doc = loadgen::sweep_personalities(scale, seed, &deadlines, requests, rate, max_batch);
         let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_serve.json");
         write_text_file(out, &doc.pretty())?;
@@ -701,7 +701,7 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
     let requests = args.get_parsed("requests", 64usize)?;
     let mode = match args.get("mode").unwrap_or("closed") {
         "closed" => LoadMode::Closed { concurrency: args.get_parsed("concurrency", 4usize)? },
-        "open" => LoadMode::Open { rate_rps: args.get_parsed("rate", 100.0f64)? },
+        "open" => LoadMode::Open { rate_rps: positive_option(args, "rate", 100.0)? },
         other => return Err(format!("unknown mode `{other}` (closed|open)")),
     };
     let inputs = loadgen::sample_inputs(dataset, scale, seed, 16);
@@ -731,9 +731,17 @@ fn positive_finite(what: &str, raw: &str) -> Result<f64, String> {
     }
 }
 
-/// `--target-p99-ms`, the fleet's latency SLO: positive and finite.
-fn target_p99_ms(args: &ParsedArgs, default: f64) -> Result<f64, String> {
-    args.get("target-p99-ms").map_or(Ok(default), |raw| positive_finite("--target-p99-ms", raw))
+/// Option `--key` as a positive, finite number, or `default` when absent.
+fn positive_option(args: &ParsedArgs, key: &str, default: f64) -> Result<f64, String> {
+    args.get(key).map_or(Ok(default), |raw| positive_finite(&format!("--{key}"), raw))
+}
+
+/// Option `--key` as a count of at least 1, or `default` when absent.
+fn positive_count(args: &ParsedArgs, key: &str, default: usize) -> Result<usize, String> {
+    match args.get_parsed(key, default)? {
+        0 => Err(format!("--{key} must be positive")),
+        n => Ok(n),
+    }
 }
 
 fn parse_routing(raw: &str) -> Result<dlbench_fleet::RoutingPolicy, String> {
@@ -763,10 +771,7 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
         "off" => &[false],
         other => return Err(format!("unknown --autoscale `{other}` (both|on|off)")),
     };
-    let requests = args.get_parsed("requests", 2_000usize)?;
-    if requests == 0 {
-        return Err("--requests must be positive".into());
-    }
+    let requests = positive_count(args, "requests", 2_000)?;
     let mut base = SimFleetConfig::new(0.0, requests);
     base.host = FrameworkKind::parse(args.get("framework").unwrap_or("tf"))?;
     base.dataset = DatasetKind::parse(args.get("dataset").unwrap_or("mnist"))?;
@@ -774,7 +779,7 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
     base.seed = args.get_parsed("seed", 42u64)?;
     base.replicas = args.get_parsed("replicas", 2usize)?.max(1);
     base.max_batch = args.get_parsed("max-batch", 8usize)?.max(1);
-    base.target_p99_ms = target_p99_ms(args, 20.0)?;
+    base.target_p99_ms = positive_option(args, "target-p99-ms", 20.0)?;
     base.dtype = parse_dtype(args.get("quantize"))?;
     let doc = fleet_sweep_doc(&base, &rates, &policies, autoscale_modes);
     let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_fleet.json");
@@ -804,7 +809,7 @@ pub fn fleet(args: &ParsedArgs) -> Result<(), String> {
         replicas: args.get_parsed("replicas", 2usize)?.max(1),
         policy: parse_routing(args.get("routing").unwrap_or("least-queue"))?,
         batch: batch_config_from_args(args)?,
-        target_p99_ms: target_p99_ms(args, 50.0)?,
+        target_p99_ms: positive_option(args, "target-p99-ms", 50.0)?,
     };
     let dtype = parse_dtype(args.get("quantize"))?;
     let spec = ModelSpec { name: "default".into(), host, setting, dataset, scale, seed, dtype };

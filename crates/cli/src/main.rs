@@ -98,8 +98,9 @@ COMMANDS:
                                   [--mode closed|open] [--requests N]
                                   [--concurrency N] [--rate RPS]
                                   [--dataset …] [--scale …] [--seed N]
-                                  or: --sweep [--deadlines-ms 0,1,2,5]
-                                  [--out FILE] (BENCH_serve.json rows)
+                                  or: --sweep [--deadlines-ms 0,1,2,5,10]
+                                  [--max-batch N] [--out FILE]
+                                  (BENCH_serve.json rows)
     fleet                         multi-replica serving fleet with live
                                   train->serve checkpoint promotion:
                                   replicas serve under concurrent load

@@ -54,8 +54,8 @@ impl ExperimentReport {
         Self { id: id.into(), title: title.into(), ..Default::default() }
     }
 
-    /// Renders the report as aligned plain text (the `figures` bench
-    /// harness prints this).
+    /// Renders the report as aligned plain text (`dlbench run` prints
+    /// this).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.title));

@@ -15,7 +15,7 @@ use dlbench_data::DatasetKind;
 pub enum Scale {
     /// Minimal scale for unit/integration tests (seconds per cell).
     Tiny,
-    /// Default benchmark scale (tens of seconds per cell).
+    /// Benchmark-grade scale (tens of seconds per cell).
     Small,
     /// Full paper scale (hours; native image sizes and iteration
     /// budgets — provided for completeness).
@@ -31,24 +31,6 @@ impl Scale {
             "small" => Some(Scale::Small),
             "paper" => Some(Scale::Paper),
             _ => None,
-        }
-    }
-
-    /// Reads `DLBENCH_SCALE` (`tiny`/`small`/`paper`, case-insensitive)
-    /// with a default of [`Scale::Small`]. An unrecognized value warns
-    /// on stderr and falls back to the default rather than silently
-    /// running at the wrong scale (`Tiny` used to be matched only as
-    /// exactly `tiny` or `TINY`, so `Tiny` quietly became `Small`).
-    pub fn from_env() -> Scale {
-        match std::env::var("DLBENCH_SCALE") {
-            Ok(raw) => Scale::parse(&raw).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: unrecognized DLBENCH_SCALE `{raw}` \
-                     (expected tiny|small|paper); using small"
-                );
-                Scale::Small
-            }),
-            Err(_) => Scale::Small,
         }
     }
 
@@ -166,20 +148,6 @@ mod tests {
         assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
         assert_eq!(Scale::parse("huge"), None);
         assert_eq!(Scale::parse(""), None);
-    }
-
-    #[test]
-    fn from_env_defaults_and_falls_back_to_small() {
-        // `from_env` consults the real environment; exercise both the
-        // unset and the unrecognized-value paths. Env mutation is
-        // process-global, so keep it confined to this one test.
-        std::env::remove_var("DLBENCH_SCALE");
-        assert_eq!(Scale::from_env(), Scale::Small);
-        std::env::set_var("DLBENCH_SCALE", "enormous");
-        assert_eq!(Scale::from_env(), Scale::Small);
-        std::env::set_var("DLBENCH_SCALE", "Paper");
-        assert_eq!(Scale::from_env(), Scale::Paper);
-        std::env::remove_var("DLBENCH_SCALE");
     }
 
     #[test]

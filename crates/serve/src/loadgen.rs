@@ -81,7 +81,7 @@ impl LoadReport {
         (self.ok > 0).then(|| self.batch_size_sum as f64 / self.ok as f64)
     }
 
-    /// JSON row for reports and the bench harness.
+    /// JSON row for reports and the `loadgen --sweep` rows.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
             ("sent".into(), self.sent.into()),

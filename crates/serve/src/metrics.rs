@@ -13,7 +13,7 @@ use std::time::Duration;
 
 /// A sample-keeping latency/duration distribution with percentile
 /// queries. One implementation serves both report generation (the
-/// `serve` bench harness) and the online `/metrics` endpoint, so the
+/// `loadgen --sweep` rows) and the online `/metrics` endpoint, so the
 /// two can never disagree about what "p99" means.
 ///
 /// Percentiles use linear interpolation between closest ranks (the

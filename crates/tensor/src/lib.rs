@@ -47,7 +47,7 @@ pub use fused::{
     ConvBackward, PackedConvWeight,
 };
 pub use im2col::{col2im, im2col, Conv2dGeometry};
-pub use linalg::{gemm, gemm_a_bt, gemm_at_b, gemm_bias};
+pub use linalg::{gemm, gemm_a_bt, gemm_at_b};
 pub use ops::accuracy;
 pub use qlinalg::{dequantize_i8, gemm_i8, quantize_i8};
 pub use rng::SeededRng;

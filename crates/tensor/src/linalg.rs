@@ -359,21 +359,6 @@ fn gemm_rows(rows: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
     }
 }
 
-/// `c = a @ b + bias` where `bias` has length `n` and is broadcast over
-/// rows. Used by fully-connected forward passes.
-///
-/// # Panics
-///
-/// Panics (debug assertions) on inconsistent slice lengths.
-pub fn gemm_bias(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], bias: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(bias.len(), n);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        c[i * n..(i + 1) * n].copy_from_slice(bias);
-    }
-    gemm(m, k, n, a, b, c);
-}
-
 /// `c += a^T @ b` where `a` is `k×m` row-major (so `a^T` is `m×k`),
 /// `b` is `k×n`, `c` is `m×n`. Used for weight gradients without
 /// materializing transposes.
@@ -500,16 +485,6 @@ mod tests {
         let mut c = [10.0f32, 0.0, 0.0, 10.0];
         gemm(2, 2, 2, &a, &b, &mut c);
         assert_eq!(c, [12.0, 0.0, 0.0, 12.0]);
-    }
-
-    #[test]
-    fn gemm_bias_broadcasts() {
-        let a = [1.0f32, 2.0];
-        let b = [1.0f32, 0.0, 0.0, 1.0];
-        let bias = [10.0f32, 20.0];
-        let mut c = [0.0f32; 2];
-        gemm_bias(1, 2, 2, &a, &b, &bias, &mut c);
-        assert_eq!(c, [11.0, 22.0]);
     }
 
     /// Regression for the old `aik == 0.0` fast path: skipping the

@@ -5,7 +5,8 @@
 //! one global `AtomicBool`. When tracing is off ([`TraceConfig::Off`],
 //! the default) that load and a branch are the entire cost — no locks,
 //! no clock reads, no allocation — so instrumented kernels stay within
-//! noise of uninstrumented ones (gated by `benches/trace.rs`).
+//! noise of uninstrumented ones. `benches/trace.rs` times both modes
+//! side by side; no gate checks that claim.
 //!
 //! When armed, each recording thread lazily registers a shard — a
 //! bounded ring buffer (oldest events drop first) wrapped in its own

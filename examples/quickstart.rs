@@ -9,14 +9,9 @@ use dlbench_core::{BenchmarkRunner, ExperimentId};
 use dlbench_frameworks::Scale;
 
 fn main() {
-    // Tiny scale keeps this example under ~1 min; set
-    // DLBENCH_SCALE=small for benchmark-grade numbers.
-    let scale = match std::env::var("DLBENCH_SCALE").as_deref() {
-        Ok("small") => Scale::Small,
-        Ok("paper") => Scale::Paper,
-        _ => Scale::Tiny,
-    };
-    let mut runner = BenchmarkRunner::new(scale, 42);
+    // Tiny scale keeps this example under ~1 min; for benchmark-grade
+    // numbers run `dlbench run fig_1 table_ii --scale small`.
+    let mut runner = BenchmarkRunner::new(Scale::Tiny, 42);
 
     println!("DLBench quickstart — regenerating the paper's Figure 1 (MNIST, own defaults)\n");
     let report = ExperimentId::Fig1.run(&mut runner);

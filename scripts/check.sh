@@ -33,11 +33,17 @@ cargo run -p dlbench-cli --release --locked -q -- profile --scale tiny \
 test -s target/dlbench-reports/TRACE_profile.json
 
 echo "==> bench smokes (quick, one BENCH_<name>.json each)"
-for bench in ablation attacks layers parallel trace serve; do
+for bench in ablation attacks layers parallel trace; do
     rm -f "target/dlbench-reports/BENCH_$bench.json"
     cargo bench --bench "$bench" --locked -- --quick > /dev/null
     test -s "target/dlbench-reports/BENCH_$bench.json"
 done
+
+echo "==> serve sweep (deadlines 0,2 ms, 24 requests per pass, BENCH_serve.json)"
+rm -f target/dlbench-reports/BENCH_serve.json
+cargo run -p dlbench-cli --release --locked -q -- loadgen --sweep --deadlines-ms 0,2 \
+    --requests 24 > /dev/null
+test -s target/dlbench-reports/BENCH_serve.json
 
 echo "==> kernel perf gate (full timings vs committed baseline, >15% fails)"
 DLBENCH_PERF_BASELINE="$PWD/crates/bench/baselines/kernels.json" \
@@ -53,8 +59,10 @@ echo "==> dist determinism gate (N workers bit-identical to 1, all personalities
 cargo test -p dlbench-integration-tests --test determinism --locked -q \
     dist_training_is_bit_identical
 
-echo "==> dist scaling bench (quick, BENCH_dist.json)"
-cargo bench --bench dist --locked -- --quick > /dev/null
+echo "==> dist scaling sweep (1,2 workers, 30 steps, BENCH_dist.json)"
+rm -f target/dlbench-reports/BENCH_dist.json
+cargo run -p dlbench-cli --release --locked -q -- dist-train --sweep --workers 1,2 \
+    --max-steps 30 > /dev/null
 test -s target/dlbench-reports/BENCH_dist.json
 
 echo "==> spec smoke (2-cell grid, resume re-run must be all cache hits)"
@@ -67,8 +75,9 @@ test -s target/dlbench-reports/BENCH_spec.json
 cargo test -p dlbench-integration-tests --test spec --locked -q
 rm -rf target/dlbench-check-cache
 
-echo "==> spec bench (18 fleet cells through the fleet simulator)"
-cargo bench --bench spec --locked -- examples/specs/fleet_sweep.json | grep -q "^\[18 cells"
+echo "==> fleet spec (18 fleet cells through the fleet simulator)"
+cargo run -p dlbench-cli --release --locked -q -- run-spec examples/specs/fleet_sweep.json \
+    | grep -q "^\[18 cells"
 
 echo "==> fleet smoke (2 replicas, live promotion under load, zero errored requests)"
 cargo run -p dlbench-cli --release --locked -q -- fleet --replicas 2 \
@@ -84,10 +93,12 @@ echo "==> fleet determinism gate (bit-transparent across routing x replicas x sc
 cargo test -p dlbench-integration-tests --test determinism --locked -q \
     fleet_serving_is_bit_transparent
 
-echo "==> fleet sweep bench (quick, BENCH_fleet.json, byte-identical across runs)"
-cargo bench --bench fleet --locked -- --quick > /dev/null
+echo "==> fleet sweep (600 requests per cell, BENCH_fleet.json, byte-identical across runs)"
+cargo run -p dlbench-cli --release --locked -q -- fleet --sweep \
+    --rates 1000,50000,1000000 --requests 600 > /dev/null
 cp target/dlbench-reports/BENCH_fleet.json target/dlbench-reports/BENCH_fleet.first.json
-cargo bench --bench fleet --locked -- --quick > /dev/null
+cargo run -p dlbench-cli --release --locked -q -- fleet --sweep \
+    --rates 1000,50000,1000000 --requests 600 > /dev/null
 cmp target/dlbench-reports/BENCH_fleet.first.json target/dlbench-reports/BENCH_fleet.json
 rm -f target/dlbench-reports/BENCH_fleet.first.json
 

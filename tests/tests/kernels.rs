@@ -17,8 +17,8 @@ use dlbench_frameworks::{arch_defaults, FrameworkKind};
 use dlbench_nn::{Conv1d, Conv1dBank, Conv2d, Initializer, Layer};
 use dlbench_quant::{im2col_i8, QConv1dBank, QConv2d};
 use dlbench_tensor::{
-    col2im, gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, im2col, par, quantize_i8,
-    Conv2dGeometry, SeededRng, Tensor,
+    col2im, gemm, gemm_a_bt, gemm_at_b, gemm_i8, im2col, par, quantize_i8, Conv2dGeometry,
+    SeededRng, Tensor,
 };
 use std::sync::Mutex;
 
@@ -116,7 +116,6 @@ fn packed_gemm_kernels_match_naive_reference_bitwise() {
     for &(m, k, n) in SHAPES {
         let a = Tensor::randn(&[m.max(1), k.max(1)], 0.0, 1.0, &mut rng);
         let b = Tensor::randn(&[k.max(1), n.max(1)], 0.0, 1.0, &mut rng);
-        let bias = Tensor::randn(&[n.max(1)], 0.0, 1.0, &mut rng);
         // Nonzero destination: accumulation order into existing values
         // is part of the contract, not just the product itself.
         let c_init = Tensor::randn(&[m.max(1), n.max(1)], 0.0, 1.0, &mut rng);
@@ -129,17 +128,6 @@ fn packed_gemm_kernels_match_naive_reference_bitwise() {
             let mut got = c_init.to_vec();
             at_threads(threads, || gemm(m, k, n, ad, bd, &mut got));
             assert_eq!(bits(&got), bits(&want), "gemm {m}x{k}x{n} @ {threads} threads");
-        }
-
-        let mut want_bias = vec![0.0f32; m * n];
-        for row in want_bias.chunks_exact_mut(n.max(1)) {
-            row.copy_from_slice(&bias.data()[..n]);
-        }
-        naive_gemm(m, k, n, ad, bd, &mut want_bias);
-        for threads in [1, 4] {
-            let mut got = vec![0.0f32; m * n];
-            at_threads(threads, || gemm_bias(m, k, n, ad, bd, &bias.data()[..n], &mut got));
-            assert_eq!(bits(&got), bits(&want_bias), "gemm_bias {m}x{k}x{n} @ {threads} threads");
         }
 
         // Transposed-operand variants, same shapes: `a` as [k, m] for
