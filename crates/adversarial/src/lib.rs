@@ -18,10 +18,12 @@
 //! framework personality — which is exactly what lets the benchmark
 //! compare the *frameworks'* robustness rather than the attacks.
 //!
-//! For the text workload, where token ids are discrete and the input
-//! gradient is exactly zero, [`fgsm_embedding`] and [`pgd_embedding`]
-//! run the same attacks in the continuous *embedding space* by
-//! splitting the network after its embedding layer.
+//! The gradient attacks ([`fgsm`] and its iterated form [`pgd`]) find
+//! their perturbation point in the network itself. A pixel model is
+//! perturbed at its input. A token model's ids are discrete and its
+//! embedding lookup has a zero input gradient, so it is perturbed in
+//! the continuous *embedding space*, past its leading embedding layer;
+//! [`FgsmReport::split`] names that layer for replaying the example.
 //!
 //! ## Example
 //!
@@ -41,19 +43,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod embed;
 mod fgsm;
 mod jsma;
 mod noise;
 mod pgd;
 mod report;
 
-pub use embed::{
-    fgsm_embedding, fgsm_embedding_success_rates, pgd_embedding, pgd_embedding_success_rates,
-    EmbedAttackConfig,
-};
 pub use fgsm::{fgsm, fgsm_success_rates, FgsmConfig, FgsmReport};
 pub use jsma::{jsma, jsma_success_matrix, JsmaConfig, JsmaOutcome};
 pub use noise::{noise_attack, noise_success_rates, NoiseConfig};
-pub use pgd::{pgd, pgd_success_rates, pgd_with_restarts, PgdConfig};
-pub use report::{AttackSummary, ConfusionRates, CraftingCostModel};
+pub use pgd::{pgd, pgd_success_rates, PgdConfig};
+pub use report::{ConfusionRates, CraftingCostModel};

@@ -7,9 +7,9 @@
 //! "beyond" extension for stress-testing robustness rankings obtained
 //! with single-step FGSM.
 
-use crate::fgsm::FgsmReport;
+use crate::fgsm::{campaign, perturbation_split, sign_step, FgsmReport};
 use crate::report::ConfusionRates;
-use dlbench_nn::{Network, SoftmaxCrossEntropy};
+use dlbench_nn::Network;
 use dlbench_tensor::{SeededRng, Tensor};
 
 /// PGD parameters.
@@ -40,7 +40,8 @@ impl PgdConfig {
     }
 }
 
-/// Crafts one untargeted PGD example for a single sample.
+/// Crafts one untargeted PGD example for a single sample, perturbing
+/// at the same layer as FGSM (see [`FgsmReport::split`]).
 pub fn pgd(
     net: &mut Network,
     x: &Tensor,
@@ -49,41 +50,31 @@ pub fn pgd(
     rng: &mut SeededRng,
 ) -> FgsmReport {
     assert_eq!(x.shape()[0], 1, "pgd operates on single samples");
-    let original_pred = net.forward(x, false).argmax_rows()[0];
+    let split = perturbation_split(net);
+    let clean = net.forward_prefix(split, x, false);
+    let original_pred = net.forward_from(split, &clean, false).argmax_rows()[0];
 
-    let mut adv = x.clone();
+    let mut adv = clean.clone();
     if config.random_start {
         for v in adv.data_mut() {
             *v += rng.uniform(-config.epsilon, config.epsilon);
         }
     }
     for _ in 0..config.steps {
-        let logits = net.forward(&adv, false);
-        let mut loss = SoftmaxCrossEntropy::new();
-        loss.forward(&logits, &[label]);
-        net.zero_grads();
-        let grad = net.backward(&loss.backward());
-        for (v, &g) in adv.data_mut().iter_mut().zip(grad.data()) {
-            *v += config.step
-                * if g > 0.0 {
-                    1.0
-                } else if g < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                };
-        }
+        let logits = net.forward_from(split, &adv, false);
+        sign_step(net, split, &logits, label, config.step, &mut adv);
         // Project back into the eps-ball, then into the valid range.
-        for (v, &orig) in adv.data_mut().iter_mut().zip(x.data()) {
+        for (v, &orig) in adv.data_mut().iter_mut().zip(clean.data()) {
             *v = v.clamp(orig - config.epsilon, orig + config.epsilon);
         }
         if let Some((lo, hi)) = config.clamp {
             adv.clamp_inplace(lo, hi);
         }
     }
-    let adversarial_pred = net.forward(&adv, false).argmax_rows()[0];
+    let adversarial_pred = net.forward_from(split, &adv, false).argmax_rows()[0];
     FgsmReport {
         adversarial: adv,
+        split,
         original_pred,
         adversarial_pred,
         // Same semantics as `fgsm`: success is a changed prediction,
@@ -92,61 +83,24 @@ pub fn pgd(
     }
 }
 
-/// PGD with random restarts (Madry et al. evaluate with up to 20):
-/// returns the first successful attempt, or the last attempt if none
-/// succeed. Restarts recover the cases where a single ascent path stalls
-/// on dead-ReLU plateaus or converges to a non-flipping corner of the
-/// ε-ball.
-pub fn pgd_with_restarts(
-    net: &mut Network,
-    x: &Tensor,
-    label: usize,
-    config: &PgdConfig,
-    restarts: usize,
-    rng: &mut SeededRng,
-) -> FgsmReport {
-    assert!(restarts >= 1, "at least one attempt required");
-    let mut last = None;
-    for attempt in 0..restarts {
-        let cfg = PgdConfig { random_start: attempt > 0 || config.random_start, ..*config };
-        let report = pgd(net, x, label, &cfg, rng);
-        if report.success {
-            return report;
-        }
-        last = Some(report);
-    }
-    last.expect("restarts >= 1")
-}
-
-/// PGD campaign over a labelled set (same tallying as FGSM's).
+/// PGD campaign over a labelled set (same predict-first tallying as
+/// FGSM's: a skipped sample costs no PGD iterations and draws nothing
+/// from `rng`).
 pub fn pgd_success_rates(
     net: &mut Network,
-    images: &Tensor,
+    inputs: &Tensor,
     labels: &[usize],
     num_classes: usize,
     config: &PgdConfig,
     rng: &mut SeededRng,
 ) -> ConfusionRates {
-    assert_eq!(images.shape()[0], labels.len(), "image/label mismatch");
-    let mut rates = ConfusionRates::new(num_classes);
-    // Predict first (one batched forward), then craft only for the
-    // correctly-classified samples — a skipped sample costs no PGD
-    // iterations and draws nothing from `rng`.
-    let preds = net.forward(images, false).argmax_rows();
-    for (i, &label) in labels.iter().enumerate() {
-        if preds[i] != label {
-            continue;
-        }
-        let x = images.slice_batch(i);
-        let report = pgd(net, &x, label, config, rng);
-        rates.record(label, report.adversarial_pred);
-    }
-    rates
+    campaign(net, inputs, labels, num_classes, |net, x, label| pgd(net, x, label, config, rng))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fgsm::tests::{text_net, tokens};
     use crate::fgsm::{fgsm, FgsmConfig};
     use dlbench_nn::{Initializer, Linear, Relu};
 
@@ -171,29 +125,23 @@ mod tests {
     }
 
     #[test]
-    fn restarted_pgd_at_least_as_strong_as_fgsm() {
-        // Over a batch of random inputs, multi-restart PGD flips at
-        // least as many predictions as single-step FGSM at the same
-        // epsilon. (A single ascent path can stall on dead-ReLU
-        // plateaus, which is exactly why restarts are standard.)
-        let mut rng = SeededRng::new(2);
-        let mut net = toy_net(&mut rng);
-        let eps = 0.15;
+    fn token_model_stays_in_ball_and_beats_or_ties_fgsm() {
+        let mut rng = SeededRng::new(3);
+        let mut net = text_net(&mut rng);
+        let eps = 0.4;
         let mut fgsm_wins = 0;
         let mut pgd_wins = 0;
-        for i in 0..30 {
-            let x = Tensor::rand_uniform(&[1, 6], 0.0, 1.0, &mut rng.fork(i));
+        for i in 0..12 {
+            let x = tokens(&mut rng.fork(100 + i), 1, 6);
             let label = net.forward(&x, false).argmax_rows()[0];
-            let f =
-                fgsm(&mut net, &x, label, &FgsmConfig { epsilon: eps, clamp: Some((0.0, 1.0)) });
-            let p = pgd_with_restarts(
-                &mut net,
-                &x,
-                label,
-                &PgdConfig { random_start: false, ..PgdConfig::standard(eps) },
-                8,
-                &mut rng,
-            );
+            let clean = net.forward_prefix(1, &x, false);
+            let f = fgsm(&mut net, &x, label, &FgsmConfig { epsilon: eps, clamp: None });
+            let cfg = PgdConfig { random_start: false, clamp: None, ..PgdConfig::standard(eps) };
+            let p = pgd(&mut net, &x, label, &cfg, &mut rng);
+            assert_eq!(p.split, 1);
+            for (a, b) in p.adversarial.data().iter().zip(clean.data()) {
+                assert!((a - b).abs() <= eps + 1e-5);
+            }
             fgsm_wins += f.success as usize;
             pgd_wins += p.success as usize;
         }

@@ -4,7 +4,7 @@ use dlbench_nn::LayerCost;
 use dlbench_simtime::CostModel;
 
 /// Source-class → adversarial-class tally for untargeted attacks
-/// (paper Figure 8's per-digit success bars and target distributions).
+/// (paper Figure 8's per-digit success bars).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfusionRates {
     num_classes: usize,
@@ -75,13 +75,6 @@ impl ConfusionRates {
             active.iter().sum::<f32>() / active.len() as f32
         }
     }
-
-    /// Distribution over adversarial classes for one source (which
-    /// classes digit-5 examples get crafted *into*, paper §III.E).
-    pub fn target_distribution(&self, source: usize) -> Vec<f32> {
-        let n = self.attempts[source].max(1) as f32;
-        self.counts[source].iter().map(|&c| c as f32 / n).collect()
-    }
 }
 
 /// Simulated crafting-time model for targeted attacks (paper Table
@@ -125,21 +118,6 @@ impl CraftingCostModel {
     }
 }
 
-/// Summary of one attack campaign against one model (rendered by the
-/// benchmark reports).
-#[derive(Debug, Clone)]
-pub struct AttackSummary {
-    /// Model/config label (e.g. `"TF (Caffe)"`).
-    pub label: String,
-    /// Per-source (FGSM) or per-target (JSMA) success rates.
-    pub rates: Vec<f32>,
-    /// Mean success rate.
-    pub mean_rate: f32,
-    /// Simulated average crafting time in minutes (targeted attacks
-    /// only; 0 for FGSM).
-    pub crafting_minutes: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,8 +135,6 @@ mod tests {
         assert_eq!(r.success_rate(1), 0.0);
         assert_eq!(r.success_rate(2), 0.0);
         assert_eq!(r.total_attempts(), 4);
-        let dist = r.target_distribution(0);
-        assert!((dist[1] - 1.0 / 3.0).abs() < 1e-6);
         // Mean over classes with attempts only (classes 0 and 1).
         assert!((r.mean_success_rate() - (2.0 / 3.0) / 2.0).abs() < 1e-6);
     }

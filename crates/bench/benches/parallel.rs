@@ -1,5 +1,5 @@
 //! Serial-vs-parallel comparison of the hot kernels behind the paper's
-//! timing columns: GEMM and the im2col convolution forward pass.
+//! timing columns: GEMM and the fused convolution forward pass.
 //!
 //! Each shape is timed twice — once forced onto the serial path (inside
 //! `par::run_as_worker`, which pins the effective worker count to 1)

@@ -13,16 +13,17 @@
 //! training time per paper epoch and testing-time int8 speedup, and
 //! the embedding-space FGSM/PGD success rates against the fp32 model
 //! plus their transfer rates against the int8 model. Token ids are
-//! discrete, so attacks are crafted in the continuous embedding space
-//! (split after the embedding layer) and transferred by replaying the
-//! perturbed embedding through the quantized suffix, whose first
-//! quantized layer re-quantizes it with frozen calibration parameters.
+//! discrete, so the attacks craft in the continuous embedding space
+//! (past the embedding layer, at the report's `split`), and the
+//! perturbed embedding transfers by replaying it through the quantized
+//! suffix from that split, whose first quantized layer re-quantizes it
+//! with frozen calibration parameters.
 //!
 //! Everything here is seeded and wall-clock-free inside the JSON (wall
 //! time goes to stdout only), so the document is byte-identical across
 //! runs — check.sh runs it twice and `cmp`s the output.
 
-use dlbench_adversarial::{fgsm_embedding, pgd_embedding, EmbedAttackConfig, PgdConfig};
+use dlbench_adversarial::{fgsm, pgd, FgsmConfig, FgsmReport, PgdConfig};
 use dlbench_bench::{attack_row, both_correct, write_report, BenchArgs, BENCH_SEED};
 use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, training_defaults, DefaultSetting, FrameworkKind, Scale};
@@ -30,12 +31,8 @@ use dlbench_json::JsonValue;
 use dlbench_nn::Network;
 use dlbench_quant::{calibration, calibration_json, cost_split, quantize_checkpoint, QuantConfig};
 use dlbench_simtime::{devices, CostModel};
-use dlbench_tensor::{SeededRng, Tensor};
+use dlbench_tensor::SeededRng;
 use dlbench_trace::Stopwatch;
-
-/// Network split point for embedding-space attacks: every text
-/// personality puts its embedding layer first.
-const EMBED_SPLIT: usize = 1;
 
 struct CellRow {
     host: FrameworkKind,
@@ -93,10 +90,11 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
 
     // Embedding-space transfer attacks over the both-correct pool:
     // craft against fp32, replay the perturbed embedding through the
-    // int8 suffix (layers after the embedding).
+    // int8 suffix (layers after the embedding). Embedding activations
+    // are unbounded, so nothing is clamped.
     let pool = both_correct(&mut net, &mut qnet, &test);
     let epsilon = 0.02f32;
-    let embed_cfg = EmbedAttackConfig::standard(epsilon);
+    let fgsm_cfg = FgsmConfig { epsilon, clamp: None };
     let pgd_cfg = PgdConfig { clamp: None, ..PgdConfig::standard(epsilon) };
     let mut rng = SeededRng::new(seed).fork(0x7E_817);
 
@@ -106,15 +104,15 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
     for &i in &pool[..n_attack] {
         let (x, labels) = test.gather(&[i]);
         let label = labels[0];
-        let transferred = |q: &mut Network, adv: &Tensor| {
-            q.forward_from(EMBED_SPLIT, adv, false).argmax_rows()[0] != label
+        let transferred = |q: &mut Network, r: &FgsmReport| {
+            q.forward_from(r.split, &r.adversarial, false).argmax_rows()[0] != label
         };
-        let r = fgsm_embedding(&mut net, &x, label, &embed_cfg);
+        let r = fgsm(&mut net, &x, label, &fgsm_cfg);
         fgsm_fp32 += usize::from(r.success);
-        fgsm_int8 += usize::from(transferred(&mut qnet, &r.adversarial));
-        let r = pgd_embedding(&mut net, &x, label, EMBED_SPLIT, &pgd_cfg, &mut rng);
+        fgsm_int8 += usize::from(transferred(&mut qnet, &r));
+        let r = pgd(&mut net, &x, label, &pgd_cfg, &mut rng);
         pgd_fp32 += usize::from(r.success);
-        pgd_int8 += usize::from(transferred(&mut qnet, &r.adversarial));
+        pgd_int8 += usize::from(transferred(&mut qnet, &r));
     }
 
     let json = JsonValue::Object(vec![

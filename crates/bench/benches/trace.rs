@@ -8,7 +8,8 @@
 use std::hint::black_box;
 
 use dlbench_bench::{Harness, BENCH_SEED};
-use dlbench_tensor::{gemm, im2col, Conv2dGeometry, SeededRng, Tensor};
+use dlbench_nn::{Conv2d, Initializer, Layer};
+use dlbench_tensor::{gemm, SeededRng, Tensor};
 use dlbench_trace::TraceConfig;
 
 fn bench_gemm_tracing(h: &mut Harness) {
@@ -32,30 +33,18 @@ fn bench_gemm_tracing(h: &mut Harness) {
     dlbench_trace::clear();
 }
 
-fn bench_im2col_tracing(h: &mut Harness) {
+fn bench_conv_tracing(h: &mut Harness) {
     let mut rng = SeededRng::new(BENCH_SEED);
-    // Caffe LeNet conv1 geometry: a small kernel, so per-call tracing
+    // Caffe LeNet conv1 (1→20 channels, 5×5, 28×28, batch 1) through
+    // the fused forward kernel: a small convolution, so per-call tracing
     // overhead is as visible as it ever gets on this hot path.
-    let geo = Conv2dGeometry {
-        in_channels: 1,
-        in_h: 28,
-        in_w: 28,
-        kernel_h: 5,
-        kernel_w: 5,
-        stride: 1,
-        pad: 0,
-    };
-    let input = Tensor::randn(&[1, 28 * 28], 0.0, 1.0, &mut rng);
-    let mut cols = vec![0.0f32; geo.patch_len() * geo.out_plane()];
+    let mut conv = Conv2d::new(1, 20, 5, 1, 0, Initializer::Xavier, &mut rng);
+    let input = Tensor::randn(&[1, 1, 28, 28], 0.0, 1.0, &mut rng);
     dlbench_trace::configure(TraceConfig::Off);
-    h.bench("trace_im2col_lenet_conv1/tracing_off", 0, || {
-        im2col(&geo, black_box(input.data()), black_box(&mut cols))
-    });
+    h.bench("trace_conv_fwd_lenet_conv1/tracing_off", 0, || conv.forward(black_box(&input), false));
     dlbench_trace::configure(TraceConfig::on());
     dlbench_trace::clear();
-    h.bench("trace_im2col_lenet_conv1/tracing_on", 0, || {
-        im2col(&geo, black_box(input.data()), black_box(&mut cols))
-    });
+    h.bench("trace_conv_fwd_lenet_conv1/tracing_on", 0, || conv.forward(black_box(&input), false));
     dlbench_trace::configure(TraceConfig::Off);
     dlbench_trace::clear();
 }
@@ -63,6 +52,6 @@ fn bench_im2col_tracing(h: &mut Harness) {
 fn main() {
     let mut h = Harness::from_args();
     bench_gemm_tracing(&mut h);
-    bench_im2col_tracing(&mut h);
+    bench_conv_tracing(&mut h);
     h.write("trace");
 }

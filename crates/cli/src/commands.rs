@@ -2,9 +2,8 @@
 
 use crate::args::ParsedArgs;
 use dlbench_adversarial::{
-    fgsm_embedding_success_rates, fgsm_success_rates, jsma_success_matrix, noise_success_rates,
-    pgd_embedding_success_rates, pgd_success_rates, EmbedAttackConfig, FgsmConfig, JsmaConfig,
-    NoiseConfig, PgdConfig,
+    fgsm_success_rates, jsma_success_matrix, noise_success_rates, pgd_success_rates, FgsmConfig,
+    JsmaConfig, NoiseConfig, PgdConfig,
 };
 use dlbench_core::runner::BenchmarkRunner;
 use dlbench_core::ExperimentId;
@@ -465,6 +464,12 @@ pub fn attack(args: &ParsedArgs) -> Result<(), String> {
         host.name(),
         setting.label()
     );
+    if dataset.is_text() && matches!(kind.as_str(), "jsma" | "noise") {
+        return Err(format!(
+            "`{kind}` operates on pixel inputs; text cells support fgsm|pgd \
+             (crafted in embedding space)"
+        ));
+    }
     let mut model = match args.get("load") {
         Some(path) => {
             // Attack a checkpointed model directly — no training run.
@@ -480,59 +485,34 @@ pub fn attack(args: &ParsedArgs) -> Result<(), String> {
     };
     let (_, test) = trainer::generate_data(dataset, scale, seed);
     let mut rng = SeededRng::new(seed).fork(0xA77);
-    if dataset.is_text() {
-        // Token ids are discrete (the input gradient is exactly zero),
-        // so text attacks ascend in the continuous embedding space.
-        let classes = dataset.num_classes();
-        match kind.as_str() {
-            "fgsm" => {
-                let config = EmbedAttackConfig::standard(epsilon);
-                let rates = fgsm_embedding_success_rates(
-                    &mut model,
-                    &test.images,
-                    &test.labels,
-                    classes,
-                    &config,
-                );
-                print_rates("per-source-class success (embedding-space)", &rates.success_rates());
-                println!("mean success rate: {:.3}", rates.mean_success_rate());
-            }
-            "pgd" => {
-                let config = PgdConfig { clamp: None, ..PgdConfig::standard(epsilon) };
-                let rates = pgd_embedding_success_rates(
-                    &mut model,
-                    &test.images,
-                    &test.labels,
-                    classes,
-                    1,
-                    &config,
-                    &mut rng,
-                );
-                print_rates("per-source-class success (embedding-space)", &rates.success_rates());
-                println!("mean success rate: {:.3}", rates.mean_success_rate());
-            }
-            "jsma" | "noise" => {
-                return Err(format!(
-                    "`{kind}` operates on pixel inputs; text cells support fgsm|pgd \
-                     (crafted in embedding space)"
-                ))
-            }
-            other => return Err(format!("unknown attack `{other}` (fgsm|pgd)")),
-        }
-        return Ok(());
-    }
+    let classes = dataset.num_classes();
+    // fgsm and pgd perturb a text model's embedding activations (token
+    // ids have a zero input gradient), which no valid range bounds;
+    // noise and jsma run on MNIST digits only.
+    let (clamp, title) = if dataset.is_text() {
+        (None, "per-source-class success (embedding-space)")
+    } else {
+        (Some((0.0, 1.0)), "per-source-digit success")
+    };
     match kind.as_str() {
         "fgsm" => {
-            let config = FgsmConfig { epsilon, clamp: Some((0.0, 1.0)) };
-            let rates = fgsm_success_rates(&mut model, &test.images, &test.labels, 10, &config);
-            print_rates("per-source-digit success", &rates.success_rates());
+            let config = FgsmConfig { epsilon, clamp };
+            let rates =
+                fgsm_success_rates(&mut model, &test.images, &test.labels, classes, &config);
+            print_rates(title, &rates.success_rates());
             println!("mean success rate: {:.3}", rates.mean_success_rate());
         }
         "pgd" => {
-            let config = PgdConfig::standard(epsilon);
-            let rates =
-                pgd_success_rates(&mut model, &test.images, &test.labels, 10, &config, &mut rng);
-            print_rates("per-source-digit success", &rates.success_rates());
+            let config = PgdConfig { clamp, ..PgdConfig::standard(epsilon) };
+            let rates = pgd_success_rates(
+                &mut model,
+                &test.images,
+                &test.labels,
+                classes,
+                &config,
+                &mut rng,
+            );
+            print_rates(title, &rates.success_rates());
             println!("mean success rate: {:.3}", rates.mean_success_rate());
         }
         "noise" => {
@@ -553,7 +533,10 @@ pub fn attack(args: &ParsedArgs) -> Result<(), String> {
             print_rates(&format!("crafting digit {source} into target"), &rates);
             println!("mean saliency iterations per attempt: {mean_iters:.1}");
         }
-        other => return Err(format!("unknown attack `{other}` (fgsm|pgd|jsma|noise)")),
+        other => {
+            let known = if dataset.is_text() { "fgsm|pgd" } else { "fgsm|pgd|jsma|noise" };
+            return Err(format!("unknown attack `{other}` ({known})"));
+        }
     }
     Ok(())
 }
@@ -600,15 +583,17 @@ pub fn stats(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the micro-batcher config shared by `serve` and the sweep.
+/// Builds the micro-batcher config shared by `serve` and the live
+/// `fleet`, refusing a zero batch size or queue (the batcher would run
+/// either as 1).
 fn batch_config_from_args(args: &ParsedArgs) -> Result<dlbench_serve::BatchConfig, String> {
     let defaults = dlbench_serve::BatchConfig::default();
     Ok(dlbench_serve::BatchConfig {
-        max_batch: args.get_parsed("max-batch", defaults.max_batch)?,
+        max_batch: positive_count(args, "max-batch", defaults.max_batch)?,
         max_wait: std::time::Duration::from_millis(
             args.get_parsed("batch-wait-ms", defaults.max_wait.as_millis() as u64)?,
         ),
-        queue_capacity: args.get_parsed("queue", defaults.queue_capacity)?,
+        queue_capacity: positive_count(args, "queue", defaults.queue_capacity)?,
     })
 }
 

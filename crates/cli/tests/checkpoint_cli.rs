@@ -8,15 +8,33 @@ fn dlbench() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dlbench"))
 }
 
-fn tmp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dlbench-ckpt-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
+/// A test's own temporary directory, removed with everything in it
+/// when the test ends (also when it fails).
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(test: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("dlbench-ckpt-cli-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
+
+    fn path(&self, name: &str) -> std::path::PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
 fn checkpoint_every_rolls_a_loadable_snapshot() {
-    let ckpt = tmp_path("rolling.ckpt");
+    let dir = TempDir::new("rolling");
+    let ckpt = dir.path("rolling.ckpt");
     let out = dlbench()
         .args(["train", "--scale", "tiny", "--seed", "42", "--checkpoint-every", "2"])
         .args(["--save", ckpt.to_str().unwrap()])
@@ -55,7 +73,8 @@ fn checkpoint_every_without_save_exits_nonzero() {
 
 #[test]
 fn corrupt_checkpoint_fails_cleanly_not_a_panic() {
-    let bad = tmp_path("corrupt.ckpt");
+    let dir = TempDir::new("corrupt");
+    let bad = dir.path("corrupt.ckpt");
     std::fs::write(&bad, b"DLBENCH1 but then garbage").expect("write corrupt file");
     let out = dlbench()
         .args(["train", "--scale", "tiny"])
@@ -72,7 +91,8 @@ fn corrupt_checkpoint_fails_cleanly_not_a_panic() {
 fn dist_train_checkpoint_interchanges_with_single_node_load() {
     // A dist-train checkpoint is a plain parameter stream: the
     // single-node trainer warm-starts from it unchanged.
-    let ckpt = tmp_path("dist.ckpt");
+    let dir = TempDir::new("dist");
+    let ckpt = dir.path("dist.ckpt");
     let out = dlbench()
         .args(["dist-train", "--workers", "2", "--strategy", "ring", "--max-steps", "20"])
         .args(["--scale", "tiny", "--seed", "42", "--save", ckpt.to_str().unwrap()])

@@ -1,7 +1,8 @@
 //! The CLI sweeps: `dlbench fleet --sweep` and `dlbench loadgen`
 //! refuse arrival rates, request counts, batch sizes and p99 targets the
-//! simulator or the load generator cannot run (or no request can meet)
-//! with a diagnostic and exit code 1, never a panic or a hang; and
+//! simulator or the load generator cannot run (or no request can meet),
+//! and `serve` and the live `fleet` a zero batch size or queue, with a
+//! diagnostic and exit code 1, never a panic or a hang; and
 //! `loadgen --sweep` and `run --json` write the documents they own.
 
 use dlbench_json::JsonValue;
@@ -53,7 +54,11 @@ fn bad_sweep_rates_and_request_counts_exit_1_without_a_panic() {
     let sweep: &[&str] = &["loadgen", "--sweep"];
     // Port 9 (discard) is never dialled: the flags are refused first.
     let open: &[&str] = &["loadgen", "--url", "127.0.0.1:9", "--mode", "open", "--requests", "2"];
-    let cases: [(&[&str], &[&str], &str); 19] = [
+    // A zero batch size or queue is refused before a model is built or
+    // a port bound (the batcher would silently run it as 1).
+    let serve: &[&str] = &["serve", "--port", "0"];
+    let live_fleet: &[&str] = &["fleet"];
+    let cases: [(&[&str], &[&str], &str); 22] = [
         (fleet, &["--rates", "0"], "rate `0` must be positive"),
         (fleet, &["--rates", "1000,-5"], "rate `-5` must be positive"),
         (fleet, &["--rates", "nan"], "rate `nan` must be positive"),
@@ -73,6 +78,9 @@ fn bad_sweep_rates_and_request_counts_exit_1_without_a_panic() {
         (open, &["--rate", "-5"], "--rate `-5` must be positive"),
         (open, &["--rate", "nan"], "--rate `nan` must be positive"),
         (open, &["--rate", "inf"], "--rate `inf` must be positive"),
+        (serve, &["--max-batch", "0"], "--max-batch must be positive"),
+        (serve, &["--queue", "0"], "--queue must be positive"),
+        (live_fleet, &["--max-batch", "0"], "--max-batch must be positive"),
     ];
     for (command, flags, message) in cases {
         let args = [command, &["--out", out.to_str().unwrap()], flags].concat();

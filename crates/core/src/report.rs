@@ -161,23 +161,6 @@ impl ExperimentReport {
             ),
         ])
     }
-
-    /// Renders the rows as CSV (`label,device,train_s,test_s,acc_pct,converged`).
-    pub fn rows_csv(&self) -> String {
-        let mut out = String::from("label,device,train_s,test_s,accuracy_pct,converged\n");
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{:.3},{:.3},{:.2},{}\n",
-                r.label.replace(',', ";"),
-                r.device,
-                r.train_time_s,
-                r.test_time_s,
-                r.accuracy_pct,
-                r.converged
-            ));
-        }
-        out
-    }
 }
 
 /// Truncates a label to `max` characters with an ellipsis.
@@ -247,14 +230,5 @@ mod tests {
     fn labels_truncated() {
         assert_eq!(truncate_label("short", 10), "short");
         assert_eq!(truncate_label("averyverylonglabelindeed", 10), "averyver..");
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = sample_report().rows_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("label,device"));
-        assert!(lines[1].starts_with("TF,GPU"));
     }
 }

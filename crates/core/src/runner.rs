@@ -107,13 +107,6 @@ impl BenchmarkRunner {
         self.cache.len()
     }
 
-    /// Whether a key's training is already memoized (the spec
-    /// orchestrator uses this to persist exactly the cells whose
-    /// training a prefetch chunk completed).
-    pub fn is_cached(&self, key: &TrainKey) -> bool {
-        self.cache.contains_key(key)
-    }
-
     /// Trains every not-yet-cached key on worker threads, in parallel,
     /// and stores the outcomes in the cache.
     ///

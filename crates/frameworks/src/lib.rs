@@ -32,14 +32,11 @@
 //! use dlbench_simtime::devices;
 //!
 //! // TensorFlow training MNIST with its own MNIST default setting.
-//! let cell = trainer::Cell {
-//!     host: FrameworkKind::TensorFlow,
-//!     setting: DefaultSetting::new(FrameworkKind::TensorFlow, DatasetKind::Mnist),
-//!     dataset: DatasetKind::Mnist,
-//!     device: devices::gtx_1080_ti(),
-//! };
-//! let outcome = trainer::run_cell(&cell, Scale::Tiny, 42);
+//! let host = FrameworkKind::TensorFlow;
+//! let setting = DefaultSetting::new(host, DatasetKind::Mnist);
+//! let outcome = trainer::run_training(host, setting, DatasetKind::Mnist, Scale::Tiny, 42);
 //! assert!(outcome.accuracy > 0.2, "tiny-scale training should beat chance");
+//! assert!(outcome.simulated_times(&devices::gtx_1080_ti()).train_seconds > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -37,33 +37,6 @@ pub const TEST_BATCH: usize = 100;
 /// images).
 pub const PAPER_TEST_SAMPLES: usize = 10_000;
 
-/// One benchmark cell.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Framework doing the training (contributes initializer, execution
-    /// profile and regularization *method*).
-    pub host: FrameworkKind,
-    /// Default setting being applied (contributes hyperparameters,
-    /// architecture, input pipeline).
-    pub setting: DefaultSetting,
-    /// Dataset being trained on.
-    pub dataset: DatasetKind,
-    /// Simulated device.
-    pub device: Device,
-}
-
-impl Cell {
-    /// A framework running its own default for a dataset.
-    pub fn own_default(host: FrameworkKind, dataset: DatasetKind, device: Device) -> Self {
-        Cell { host, setting: DefaultSetting::new(host, dataset), dataset, device }
-    }
-
-    /// Paper-style label, e.g. `"TensorFlow (Caffe-MNIST) on MNIST"`.
-    pub fn label(&self) -> String {
-        format!("{} ({}) on {}", self.host.name(), self.setting.label(), self.dataset.name())
-    }
-}
-
 /// Simulated training/testing seconds for one device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTimes {
@@ -582,58 +555,32 @@ fn run_training_impl(
     })
 }
 
-/// Runs a full cell (training + device timings).
-pub fn run_cell(cell: &Cell, scale: Scale, seed: u64) -> CellOutcome {
-    let outcome = run_training(cell.host, cell.setting, cell.dataset, scale, seed);
-    let times = outcome.simulated_times(&cell.device);
-    CellOutcome { cell: cell.clone(), times, outcome }
-}
-
-/// A [`TrainOutcome`] paired with its cell and simulated times.
-pub struct CellOutcome {
-    /// The cell that was run.
-    pub cell: Cell,
-    /// Simulated training/testing times on the cell's device.
-    pub times: SimTimes,
-    /// The underlying training outcome.
-    pub outcome: TrainOutcome,
-}
-
-impl std::ops::Deref for CellOutcome {
-    type Target = TrainOutcome;
-    fn deref(&self) -> &TrainOutcome {
-        &self.outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dlbench_simtime::devices;
 
+    /// Trains `host` on `dataset` under its own default setting.
+    fn own_default(host: FrameworkKind, dataset: DatasetKind) -> TrainOutcome {
+        run_training(host, DefaultSetting::new(host, dataset), dataset, Scale::Tiny, 1)
+    }
+
     #[test]
     fn tf_mnist_own_default_learns_at_tiny_scale() {
-        let cell = Cell::own_default(
-            FrameworkKind::TensorFlow,
-            DatasetKind::Mnist,
-            devices::gtx_1080_ti(),
-        );
-        let out = run_cell(&cell, Scale::Tiny, 1);
+        let out = own_default(FrameworkKind::TensorFlow, DatasetKind::Mnist);
         assert!(out.accuracy > 0.5, "accuracy {}", out.accuracy);
         assert!(out.converged);
         assert!(!out.loss_curve.is_empty());
-        assert!(out.times.train_seconds > 0.0);
+        assert!(out.simulated_times(&devices::gtx_1080_ti()).train_seconds > 0.0);
         assert_eq!(out.paper_iterations, 20_000);
     }
 
     #[test]
     fn torch_imdb_own_default_learns_at_tiny_scale() {
-        let cell =
-            Cell::own_default(FrameworkKind::Torch, DatasetKind::Imdb, devices::gtx_1080_ti());
-        let out = run_cell(&cell, Scale::Tiny, 1);
+        let out = own_default(FrameworkKind::Torch, DatasetKind::Imdb);
         assert!(out.accuracy > 0.6, "text accuracy {}", out.accuracy);
         assert!(out.converged);
-        assert!(out.times.train_seconds > 0.0);
+        assert!(out.simulated_times(&devices::gtx_1080_ti()).train_seconds > 0.0);
     }
 
     #[test]

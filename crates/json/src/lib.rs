@@ -14,7 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed or constructed JSON value.
@@ -63,16 +62,6 @@ impl JsonValue {
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Object members as a map view (for order-insensitive comparisons).
-    pub fn as_map(&self) -> Option<BTreeMap<&str, &JsonValue>> {
-        match self {
-            JsonValue::Object(members) => {
-                Some(members.iter().map(|(k, v)| (k.as_str(), v)).collect())
-            }
             _ => None,
         }
     }

@@ -3,9 +3,16 @@
 use crate::layer::{Layer, ParamSet};
 use crate::profile::LayerCost;
 use dlbench_tensor::Tensor;
+use std::ops::Range;
 
 /// A sequential stack of layers with forward/backward orchestration and
 /// aggregate cost accounting.
+///
+/// A pass can also be split at any layer boundary
+/// ([`Network::forward_prefix`], [`Network::forward_from`],
+/// [`Network::backward_from`]); the gradient attacks split a token
+/// model past its embedding this way. Split passes run the same traced
+/// loops as full ones.
 ///
 /// All reference architectures in the paper (Tables IV and V) are
 /// sequential, so a `Vec<Box<dyn Layer>>` container is sufficient and
@@ -29,11 +36,6 @@ impl Network {
     /// Appends a layer.
     pub fn push(&mut self, layer: impl Layer + 'static) {
         self.layers.push(Box::new(layer));
-    }
-
-    /// Appends a boxed layer (builder-friendly).
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
     }
 
     /// Number of layers.
@@ -67,8 +69,30 @@ impl Network {
     /// arithmetic the simtime cost model charges (computed only while
     /// tracing is armed).
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_range(0..self.layers.len(), input, train)
+    }
+
+    /// Runs only the first `end` layers forward (the `[0, end)` prefix),
+    /// returning that prefix's output: the activation entering layer
+    /// `end`. Gradient attacks on a token model perturb the embedding
+    /// activations this yields.
+    pub fn forward_prefix(&mut self, end: usize, input: &Tensor, train: bool) -> Tensor {
+        self.forward_range(0..end, input, train)
+    }
+
+    /// Runs the layers from `start` onward forward (the `[start, len)`
+    /// suffix), treating `input` as the activation entering layer
+    /// `start`. Together with [`Network::forward_prefix`] this splits a
+    /// forward pass at any layer boundary.
+    pub fn forward_from(&mut self, start: usize, input: &Tensor, train: bool) -> Tensor {
+        self.forward_range(start..self.layers.len(), input, train)
+    }
+
+    /// Runs the layers in `range` forward, each under the span
+    /// [`Network::forward`] describes.
+    fn forward_range(&mut self, range: Range<usize>, input: &Tensor, train: bool) -> Tensor {
         let mut x = input.clone();
-        for layer in &mut self.layers {
+        for layer in &mut self.layers[range] {
             let flops = if dlbench_trace::enabled() { layer.cost(x.shape()).fwd_flops } else { 0 };
             let _span =
                 dlbench_trace::span_flops(dlbench_trace::Category::Layer, layer.name(), flops);
@@ -77,30 +101,11 @@ impl Network {
         x
     }
 
-    /// Runs only the first `end` layers forward (the `[0, end)` prefix),
-    /// returning that prefix's output. With `end == 1` on a text model
-    /// this yields the embedding activations the embedding-space
-    /// attacks perturb.
-    pub fn forward_prefix(&mut self, end: usize, input: &Tensor, train: bool) -> Tensor {
-        assert!(end <= self.layers.len(), "prefix end beyond network");
-        let mut x = input.clone();
-        for layer in &mut self.layers[..end] {
-            x = layer.forward(&x, train);
-        }
-        x
-    }
-
-    /// Runs the layers from `start` onward forward (the `[start, len)`
-    /// suffix), treating `input` as the activation entering layer
-    /// `start`. Together with [`Network::forward_prefix`] this splits a
-    /// forward pass at any layer boundary.
-    pub fn forward_from(&mut self, start: usize, input: &Tensor, train: bool) -> Tensor {
-        assert!(start <= self.layers.len(), "suffix start beyond network");
-        let mut x = input.clone();
-        for layer in &mut self.layers[start..] {
-            x = layer.forward(&x, train);
-        }
-        x
+    /// Propagates a gradient from the output back to the input,
+    /// accumulating parameter gradients along the way, and returns the
+    /// gradient w.r.t. the network input (used by adversarial attacks).
+    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_from(0, grad_output)
     }
 
     /// Propagates a gradient backward through the `[start, len)` suffix
@@ -109,20 +114,8 @@ impl Network {
     /// suffix must have been run forward last — via
     /// [`Network::forward_from`] or a full [`Network::forward`].
     pub fn backward_from(&mut self, start: usize, grad_output: &Tensor) -> Tensor {
-        assert!(start <= self.layers.len(), "suffix start beyond network");
         let mut g = grad_output.clone();
         for layer in self.layers[start..].iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
-    /// Propagates a gradient from the output back to the input,
-    /// accumulating parameter gradients along the way, and returns the
-    /// gradient w.r.t. the network input (used by adversarial attacks).
-    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
             // Backward spans carry no FLOP payload: the layer's input
             // shape (which the estimate needs) is not visible here, and
             // the kernel spans inside carry their own counts.
@@ -195,20 +188,6 @@ impl Network {
     /// the retraining experiments).
     pub fn snapshot(&mut self) -> Vec<Tensor> {
         self.params().iter().map(|p| p.value.clone()).collect()
-    }
-
-    /// Restores parameters from a [`Network::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not match the parameter structure.
-    pub fn restore(&mut self, snapshot: &[Tensor]) {
-        let mut params = self.params();
-        assert_eq!(params.len(), snapshot.len(), "snapshot length mismatch");
-        for (p, s) in params.iter_mut().zip(snapshot) {
-            assert_eq!(p.value.shape(), s.shape(), "snapshot shape mismatch");
-            *p.value = s.clone();
-        }
     }
 }
 
@@ -310,7 +289,9 @@ mod tests {
             p.value.map_inplace(|v| v + 1.0);
         }
         assert_ne!(net.forward(&x, false), before);
-        net.restore(&snap);
+        for (p, s) in net.params().into_iter().zip(snap) {
+            *p.value = s;
+        }
         assert_eq!(net.forward(&x, false), before);
     }
 

@@ -174,11 +174,6 @@ pub fn take(len: usize) -> ArenaBuf {
     ArenaBuf { data: take_vec(len) }
 }
 
-/// Takes a zero-filled buffer of `len` elements.
-pub fn take_zeroed(len: usize) -> ArenaBuf {
-    ArenaBuf { data: take_vec_zeroed(len) }
-}
-
 /// Arena traffic counters since process start, and the pool's size now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaStats {
@@ -228,7 +223,7 @@ mod tests {
             let mut a = take(513);
             a.fill(7.0);
         }
-        let b = take_zeroed(513);
+        let b = take_vec_zeroed(513);
         assert!(b.iter().all(|&v| v == 0.0));
     }
 

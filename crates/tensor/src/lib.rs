@@ -2,8 +2,8 @@
 //!
 //! The numeric substrate of the DLBench suite: a small, dependency-light,
 //! row-major `f32` tensor library with exactly the operations the paper's
-//! reference models need — dense linear algebra (blocked GEMM), `im2col`
-//! lowering for convolutions, elementwise maps, reductions, and a seeded
+//! reference models need — dense linear algebra (blocked GEMM), fused
+//! convolution kernels, elementwise maps, reductions, and a seeded
 //! RNG façade so every experiment in the benchmark is reproducible.
 //!
 //! The design goal is *determinism first*: every operation evaluates
