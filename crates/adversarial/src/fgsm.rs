@@ -16,10 +16,11 @@ pub struct FgsmConfig {
     pub clamp: Option<(f32, f32)>,
 }
 
-/// Result of one FGSM (or PGD) crafting attempt.
+/// Result of one FGSM (or PGD, or random-noise) crafting attempt.
 #[derive(Debug, Clone)]
 pub struct FgsmReport {
-    /// The crafted example `x + ε·sign(∇ₓL)`, taken at layer `split`.
+    /// The crafted example (FGSM's `x + ε·sign(∇ₓL)`), taken at layer
+    /// `split`.
     pub adversarial: Tensor,
     /// Index of the layer `adversarial` enters: 0 for pixel models,
     /// where it is an input; past the leading embedding for token
@@ -44,8 +45,9 @@ pub(crate) fn perturbation_split(net: &Network) -> usize {
 }
 
 /// One ascent step: backpropagates the loss of `logits` (the forward
-/// pass from `split` that produced them must be the network's last)
-/// and moves `adv` by `step·sign(∇L)`.
+/// pass from `split` that produced them must be the network's last) to
+/// `split`, computing no parameter gradient, and moves `adv` by
+/// `step·sign(∇L)`.
 pub(crate) fn sign_step(
     net: &mut Network,
     split: usize,
@@ -56,8 +58,7 @@ pub(crate) fn sign_step(
 ) {
     let mut loss = SoftmaxCrossEntropy::new();
     loss.forward(logits, &[label]);
-    net.zero_grads();
-    let grad = net.backward_from(split, &loss.backward());
+    let grad = net.input_grad(split, &loss.backward());
     for (v, &g) in adv.data_mut().iter_mut().zip(grad.data()) {
         *v += step * sign(g);
     }
@@ -116,9 +117,10 @@ pub fn fgsm_success_rates(
     campaign(net, inputs, labels, num_classes, |net, x, label| fgsm(net, x, label, config))
 }
 
-/// The predict-first campaign loop the FGSM and PGD tallies share: one
-/// batched forward decides who gets attacked, and `craft` (a backward
-/// pass plus at least one more forward per sample) runs only for the
+/// The predict-first campaign loop the FGSM, PGD and noise tallies
+/// share: one batched forward decides who gets attacked, and `craft`
+/// (at least one more forward per sample, plus the gradient attacks'
+/// backward passes or the noise baseline's draws) runs only for the
 /// correctly classified samples instead of being thrown away
 /// afterwards for the rest.
 pub(crate) fn campaign(

@@ -35,8 +35,9 @@ pub struct JsmaOutcome {
 }
 
 /// Softmax-probability Jacobian rows `dF_c/dx` for every class, computed
-/// by one forward pass and `num_classes` backward passes (the network's
-/// caches are reused across backward calls).
+/// by one forward pass and `num_classes` input-gradient passes (the
+/// network's caches are reused across them; no parameter gradient is
+/// computed).
 fn jacobian(net: &mut Network, x: &Tensor, num_classes: usize) -> Vec<Tensor> {
     let logits = net.forward(x, false);
     let probs = logits.softmax_rows();
@@ -50,8 +51,7 @@ fn jacobian(net: &mut Network, x: &Tensor, num_classes: usize) -> Vec<Tensor> {
                 let delta = if j == c { 1.0 } else { 0.0 };
                 seed.data_mut()[j] = p[c] * (delta - p[j]);
             }
-            net.zero_grads();
-            net.backward(&seed)
+            net.input_grad(0, &seed)
         })
         .collect()
 }

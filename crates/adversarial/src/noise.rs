@@ -7,6 +7,7 @@
 //! FGSM-minus-noise gap isolates the *adversarial* component of the
 //! vulnerability.
 
+use crate::fgsm::{campaign, FgsmReport};
 use crate::report::ConfusionRates;
 use dlbench_nn::Network;
 use dlbench_tensor::{SeededRng, Tensor};
@@ -23,19 +24,19 @@ pub struct NoiseConfig {
     pub clamp: Option<(f32, f32)>,
 }
 
-/// Perturbs one sample with random noise and reports the prediction
-/// flip, tallied exactly like the gradient attacks.
+/// Perturbs one sample (`x` is `[1, …]`) at its input with random
+/// noise and reports the prediction flip as the gradient attacks do:
+/// success is a changed prediction, not disagreement with a label.
 pub fn noise_attack(
     net: &mut Network,
     x: &Tensor,
-    label: usize,
     config: &NoiseConfig,
     rng: &mut SeededRng,
-) -> (usize, usize, bool) {
+) -> FgsmReport {
     assert_eq!(x.shape()[0], 1, "noise_attack operates on single samples");
     let original_pred = net.forward(x, false).argmax_rows()[0];
-    let mut adv = x.clone();
-    for v in adv.data_mut() {
+    let mut adversarial = x.clone();
+    for v in adversarial.data_mut() {
         let delta = if config.sign_noise {
             if rng.bernoulli(0.5) {
                 config.epsilon
@@ -48,13 +49,21 @@ pub fn noise_attack(
         *v += delta;
     }
     if let Some((lo, hi)) = config.clamp {
-        adv.clamp_inplace(lo, hi);
+        adversarial.clamp_inplace(lo, hi);
     }
-    let adversarial_pred = net.forward(&adv, false).argmax_rows()[0];
-    (original_pred, adversarial_pred, adversarial_pred != label)
+    let adversarial_pred = net.forward(&adversarial, false).argmax_rows()[0];
+    FgsmReport {
+        adversarial,
+        split: 0,
+        original_pred,
+        adversarial_pred,
+        success: adversarial_pred != original_pred,
+    }
 }
 
-/// Noise campaign over a labelled set.
+/// Noise campaign over a labelled set, through the gradient attacks'
+/// predict-first loop: only the correctly classified samples are
+/// perturbed, so a skipped sample draws nothing from `rng`.
 pub fn noise_success_rates(
     net: &mut Network,
     images: &Tensor,
@@ -63,17 +72,7 @@ pub fn noise_success_rates(
     config: &NoiseConfig,
     rng: &mut SeededRng,
 ) -> ConfusionRates {
-    assert_eq!(images.shape()[0], labels.len(), "image/label mismatch");
-    let mut rates = ConfusionRates::new(num_classes);
-    for (i, &label) in labels.iter().enumerate() {
-        let x = images.slice_batch(i);
-        let (orig, adv, _) = noise_attack(net, &x, label, config, rng);
-        if orig != label {
-            continue;
-        }
-        rates.record(label, adv);
-    }
-    rates
+    campaign(net, images, labels, num_classes, |net, x, _| noise_attack(net, x, config, rng))
 }
 
 #[cfg(test)]
@@ -105,11 +104,37 @@ mod tests {
         let mut net = toy_net(&mut rng);
         let x = Tensor::rand_uniform(&[1, 6], 0.3, 0.7, &mut rng);
         let config = NoiseConfig { epsilon: 0.1, sign_noise: false, clamp: None };
-        // Re-run the perturbation and check the bound by reconstructing
-        // from the attack's contract: original stays fixed.
         let before = x.clone();
-        let _ = noise_attack(&mut net, &x, 0, &config, &mut rng);
+        let report = noise_attack(&mut net, &x, &config, &mut rng);
         assert_eq!(x, before, "input must not be mutated");
+        assert_eq!(report.split, 0, "noise perturbs the input");
+        for (a, b) in report.adversarial.data().iter().zip(x.data()) {
+            assert!((a - b).abs() <= 0.1 + 1e-6);
+        }
+        assert_eq!(report.success, report.adversarial_pred != report.original_pred);
+    }
+
+    #[test]
+    fn misclassified_samples_draw_no_noise() {
+        let mut rng = SeededRng::new(4);
+        let mut net = toy_net(&mut rng);
+        let images = Tensor::rand_uniform(&[8, 6], 0.0, 1.0, &mut rng);
+        let labels = net.forward(&images, false).argmax_rows();
+        // The same set behind one sample under a wrong label.
+        let extra = Tensor::rand_uniform(&[1, 6], 0.0, 1.0, &mut rng);
+        let wrong = (net.forward(&extra, false).argmax_rows()[0] + 1) % 4;
+        let padded = Tensor::concat0(&[&extra, &images]).unwrap();
+        let padded_labels: Vec<usize> = std::iter::once(wrong).chain(labels.clone()).collect();
+        let config = NoiseConfig { epsilon: 0.8, sign_noise: false, clamp: Some((0.0, 1.0)) };
+        // The campaign's rates and where it leaves the noise stream.
+        let mut run = |images: &Tensor, labels: &[usize]| {
+            let mut draws = SeededRng::new(99);
+            let rates = noise_success_rates(&mut net, images, labels, 4, &config, &mut draws);
+            (rates, draws.uniform(0.0, 1.0).to_bits())
+        };
+        let (rates, next) = run(&images, &labels);
+        assert_eq!(rates.total_attempts(), 8);
+        assert_eq!(run(&padded, &padded_labels), (rates, next));
     }
 
     #[test]

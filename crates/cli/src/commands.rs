@@ -470,6 +470,10 @@ pub fn attack(args: &ParsedArgs) -> Result<(), String> {
              (crafted in embedding space)"
         ));
     }
+    if !matches!(kind.as_str(), "fgsm" | "pgd" | "jsma" | "noise") {
+        let known = if dataset.is_text() { "fgsm|pgd" } else { "fgsm|pgd|jsma|noise" };
+        return Err(format!("unknown attack `{kind}` ({known})"));
+    }
     let mut model = match args.get("load") {
         Some(path) => {
             // Attack a checkpointed model directly — no training run.
@@ -533,10 +537,7 @@ pub fn attack(args: &ParsedArgs) -> Result<(), String> {
             print_rates(&format!("crafting digit {source} into target"), &rates);
             println!("mean saliency iterations per attempt: {mean_iters:.1}");
         }
-        other => {
-            let known = if dataset.is_text() { "fgsm|pgd" } else { "fgsm|pgd|jsma|noise" };
-            return Err(format!("unknown attack `{other}` ({known})"));
-        }
+        other => unreachable!("attack `{other}` was refused before training"),
     }
     Ok(())
 }

@@ -1,6 +1,7 @@
 //! `dlbench attack` end to end at `--scale tiny`: each attack a dataset
 //! supports prints its per-class table and summary line, and each one
-//! it does not support exits 1 with a diagnostic, never a panic.
+//! it does not support exits 1 with a diagnostic, never a panic. An
+//! unknown attack is refused before a model is loaded or trained.
 
 use std::process::{Command, Stdio};
 
@@ -9,8 +10,11 @@ fn attacks_run_or_are_refused_per_dataset() {
     let digits = "per-source-digit success:";
     let text = "per-source-class success (embedding-space):";
     let mean = "mean success rate: ";
+    // A checkpoint that cannot load: an unknown attack must be refused
+    // before the model is loaded (or trained).
+    let missing = "no-such-dir/missing.ckpt";
     // (flags, exit code, lines expected on stdout for 0 or stderr for 1)
-    let cases: [(&[&str], i32, &[&str]); 9] = [
+    let cases: [(&[&str], i32, &[&str]); 11] = [
         (&["--attack", "fgsm"], 0, &[digits, mean]),
         (&["--attack", "pgd"], 0, &[digits, mean]),
         (&["--attack", "noise"], 0, &[digits, "(random-noise baseline at the same epsilon)"]),
@@ -35,6 +39,16 @@ fn attacks_run_or_are_refused_per_dataset() {
             &["--dataset", "cifar10", "--attack", "fgsm"],
             1,
             &["attacks are defined on the MNIST cells (paper §III.E) and the IMDB text cells"],
+        ),
+        (
+            &["--attack", "bogus", "--load", missing],
+            1,
+            &["unknown attack `bogus` (fgsm|pgd|jsma|noise)"],
+        ),
+        (
+            &["--dataset", "imdb", "--attack", "bogus", "--load", missing],
+            1,
+            &["unknown attack `bogus` (fgsm|pgd)"],
         ),
     ];
     // The runs share nothing, so they all start before any is awaited.

@@ -111,6 +111,24 @@ impl Conv2d {
         }
     }
 
+    /// Runs [`conv_backward`] against the cached forward for the
+    /// gradients `grads` asks for.
+    fn grads(&mut self, grad_out: &Tensor, grads: Grads) -> Option<Tensor> {
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let geo = self.geometry(input.shape()[2], input.shape()[3]);
+        let want = [input.shape()[0], self.out_channels, geo.out_h(), geo.out_w()];
+        assert_eq!(grad_out.shape(), &want, "grad shape mismatch");
+        conv_backward(
+            &geo,
+            &self.weight,
+            input,
+            grad_out,
+            grads,
+            &mut self.grad_weight,
+            &mut self.grad_bias,
+        )
+    }
+
     /// Reference forward through the materialized im2col + GEMM
     /// lowering. Kept as the transparency oracle for the fused kernel:
     /// `forward` must produce bitwise-identical output (see
@@ -178,18 +196,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let geo = self.geometry(input.shape()[2], input.shape()[3]);
-        let want = [input.shape()[0], self.out_channels, geo.out_h(), geo.out_w()];
-        assert_eq!(grad_out.shape(), &want, "grad shape mismatch");
-        conv_backward(
-            &geo,
-            &self.weight,
-            input,
-            grad_out,
-            &mut self.grad_weight,
-            &mut self.grad_bias,
-        )
+        self.grads(grad_out, Grads::Both).expect("input gradient asked for")
+    }
+
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        self.grads(grad_out, Grads::Params);
+    }
+
+    fn input_grad(&mut self, grad_out: &Tensor) -> Tensor {
+        self.grads(grad_out, Grads::Input).expect("input gradient asked for")
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {
@@ -278,10 +293,35 @@ pub(crate) fn conv_forward(
     out
 }
 
-/// Convolution backward over a batch through the fused kernels: returns
-/// the input gradient and adds the weight and bias gradients into
-/// `grad_weight`/`grad_bias`. Shared by [`Conv2d`] and
-/// [`crate::Conv1d`].
+/// The gradients one backward call computes: each [`Layer`] backward
+/// method asks for one of these.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Grads {
+    /// Parameter and input gradients ([`Layer::backward`]).
+    Both,
+    /// Parameter gradients only ([`Layer::accumulate_grads`]).
+    Params,
+    /// The input gradient only ([`Layer::input_grad`]).
+    Input,
+}
+
+impl Grads {
+    /// Whether the input gradient is computed.
+    pub(crate) fn input(self) -> bool {
+        self != Grads::Params
+    }
+
+    /// Whether the parameter gradients are accumulated.
+    pub(crate) fn params(self) -> bool {
+        self != Grads::Input
+    }
+}
+
+/// Convolution backward over a batch through the fused kernels, in one
+/// pass over the samples: returns the input gradient when `grads` asks
+/// for it, and adds the weight and bias gradients into
+/// `grad_weight`/`grad_bias` when it asks for those. Shared by
+/// [`Conv2d`] and [`crate::Conv1d`].
 ///
 /// Input gradients of different samples are disjoint, so the batch
 /// splits over samples directly. Weight/bias gradients accumulate
@@ -290,15 +330,20 @@ pub(crate) fn conv_forward(
 /// same additions, in the same order, at any thread count, hence
 /// bit-identical. (The serial path stages too: folding sample `s`
 /// straight into `grad_weight` would interleave its terms with the
-/// running total instead of adding one per-sample partial.)
+/// running total instead of adding one per-sample partial.) A gradient
+/// that is not asked for costs nothing: no `conv_backward_data` call
+/// without the input gradient, no `conv_backward_filter`, bias sums or
+/// staging rows without the parameter gradients; each one computed has
+/// the same bits as in [`Grads::Both`].
 pub(crate) fn conv_backward(
     geo: &Conv2dGeometry,
     weight: &Tensor,
     input: &Tensor,
     grad_out: &Tensor,
+    grads: Grads,
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
-) -> Tensor {
+) -> Option<Tensor> {
     let n = input.shape()[0];
     let (out_channels, patch, plane) = (weight.shape()[0], geo.patch_len(), geo.out_plane());
     let sample_in = geo.in_channels * geo.in_h * geo.in_w;
@@ -306,19 +351,31 @@ pub(crate) fn conv_backward(
     let backward = ConvBackward::new(geo, out_channels, weight.data());
     let (in_data, gout) = (input.data(), grad_out.data());
     // One staging row per sample: the weight partial, then the bias's.
-    let row_len = out_channels * patch + out_channels;
-    let sample = |s: usize, gin_s: &mut [f32], row: &mut [f32]| {
-        let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
-        conv_backward_data(&backward, gout_s, gin_s);
-        let (w_part, b_part) = row.split_at_mut(out_channels * patch);
-        conv_backward_filter(
-            &backward,
-            &in_data[s * sample_in..(s + 1) * sample_in],
-            gout_s,
-            w_part,
-        );
-        for (b, g) in b_part.iter_mut().zip(gout_s.chunks(plane)) {
-            *b = g.iter().sum::<f32>();
+    let row_len = if grads.params() { out_channels * patch + out_channels } else { 0 };
+    // Samples `first..` of a run: each one's input gradient into its
+    // row of `gin` and its parameter partial into its row of `rows`.
+    // The buffer of a gradient not asked for is empty.
+    let samples = |first: usize, gin: &mut [f32], rows: &mut [f32]| {
+        let count = if grads.input() { gin.len() / sample_in } else { rows.len() / row_len };
+        for si in 0..count {
+            let s = first + si;
+            let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
+            if grads.input() {
+                conv_backward_data(&backward, gout_s, &mut gin[si * sample_in..][..sample_in]);
+            }
+            if grads.params() {
+                let row = &mut rows[si * row_len..][..row_len];
+                let (w_part, b_part) = row.split_at_mut(out_channels * patch);
+                conv_backward_filter(
+                    &backward,
+                    &in_data[s * sample_in..(s + 1) * sample_in],
+                    gout_s,
+                    w_part,
+                );
+                for (b, g) in b_part.iter_mut().zip(gout_s.chunks(plane)) {
+                    *b = g.iter().sum::<f32>();
+                }
+            }
         }
     };
     let mut add_partial = |row: &[f32]| {
@@ -330,32 +387,34 @@ pub(crate) fn conv_backward(
             *dst += src;
         }
     };
-    let mut grad_in = Tensor::zeros(input.shape());
+    let mut grad_in = grads.input().then(|| Tensor::zeros(input.shape()));
+    let gin = grad_in.as_mut().map_or(&mut [][..], Tensor::data_mut);
     if n * out_channels * patch * plane < par::PAR_MIN_WORK
         || par::is_worker()
         || par::threads() == 1
     {
         let mut row = arena::take(row_len);
-        for (s, gin_s) in grad_in.data_mut().chunks_mut(sample_in).enumerate() {
-            sample(s, gin_s, &mut row);
-            add_partial(&row);
+        for s in 0..n {
+            let gin_s = gin.get_mut(s * sample_in..(s + 1) * sample_in).unwrap_or_default();
+            samples(s, gin_s, &mut row);
+            if grads.params() {
+                add_partial(&row);
+            }
         }
     } else {
         let mut rows = arena::take(n * row_len);
-        par::par_row_chunks2_mut(
-            grad_in.data_mut(),
-            sample_in,
-            &mut rows,
-            row_len,
-            |first, gin, rows| {
-                for (si, (gin_s, row)) in
-                    gin.chunks_mut(sample_in).zip(rows.chunks_mut(row_len)).enumerate()
-                {
-                    sample(first + si, gin_s, row);
-                }
-            },
-        );
-        rows.chunks(row_len).for_each(&mut add_partial);
+        match grads {
+            Grads::Both => par::par_row_chunks2_mut(gin, sample_in, &mut rows, row_len, samples),
+            Grads::Input => {
+                par::par_row_chunks_mut(gin, sample_in, |first, gin| samples(first, gin, &mut []))
+            }
+            Grads::Params => par::par_row_chunks_mut(&mut rows, row_len, |first, rows| {
+                samples(first, &mut [], rows)
+            }),
+        }
+        if grads.params() {
+            rows.chunks(row_len).for_each(&mut add_partial);
+        }
     }
     grad_in
 }

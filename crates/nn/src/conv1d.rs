@@ -2,7 +2,7 @@
 //! sequences, max-over-time pooling, and the parallel-width bank that
 //! assembles them (Kim-style sentence CNN).
 
-use crate::conv::{conv_backward, conv_forward};
+use crate::conv::{conv_backward, conv_forward, Grads};
 use crate::init::Initializer;
 use crate::layer::{Layer, ParamKind, ParamSet};
 use crate::profile::LayerCost;
@@ -80,6 +80,24 @@ impl Conv1d {
         &self.bias
     }
 
+    /// Runs [`conv_backward`] against the cached forward for the
+    /// gradients `grads` asks for.
+    fn grads(&mut self, grad_out: &Tensor, grads: Grads) -> Option<Tensor> {
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let geo = self.geometry(input.shape()[2]);
+        let want = [input.shape()[0], self.filters, geo.out_plane(), 1];
+        assert_eq!(grad_out.shape(), &want, "grad shape mismatch");
+        conv_backward(
+            &geo,
+            &self.weight,
+            input,
+            grad_out,
+            grads,
+            &mut self.grad_weight,
+            &mut self.grad_bias,
+        )
+    }
+
     /// The 2-D geometry this layer lowers onto for sequence length `l`.
     pub fn geometry(&self, l: usize) -> Conv2dGeometry {
         Conv2dGeometry {
@@ -115,18 +133,15 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let geo = self.geometry(input.shape()[2]);
-        let want = [input.shape()[0], self.filters, geo.out_plane(), 1];
-        assert_eq!(grad_out.shape(), &want, "grad shape mismatch");
-        conv_backward(
-            &geo,
-            &self.weight,
-            input,
-            grad_out,
-            &mut self.grad_weight,
-            &mut self.grad_bias,
-        )
+        self.grads(grad_out, Grads::Both).expect("input gradient asked for")
+    }
+
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        self.grads(grad_out, Grads::Params);
+    }
+
+    fn input_grad(&mut self, grad_out: &Tensor) -> Tensor {
+        self.grads(grad_out, Grads::Input).expect("input gradient asked for")
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {
@@ -308,6 +323,31 @@ impl Conv1dBank {
     pub fn convs(&self) -> Vec<&Conv1d> {
         self.branches.iter().map(|(c, _)| c).collect()
     }
+
+    /// Each branch's backward for the gradients `grads` asks for; the
+    /// input gradient, when asked for, is the sum of the branches'.
+    fn grads(&mut self, grad_out: &Tensor, grads: Grads) -> Option<Tensor> {
+        let total = self.out_features();
+        let n = grad_out.shape()[0];
+        assert_eq!(grad_out.shape(), &[n, total], "grad shape mismatch");
+        let f = self.filters;
+        let mut grad_in: Option<Tensor> = None;
+        for (b, (conv, pool)) in self.branches.iter_mut().enumerate() {
+            let mut g = Tensor::zeros(&[n, f]);
+            for s in 0..n {
+                g.data_mut()[s * f..(s + 1) * f]
+                    .copy_from_slice(&grad_out.data()[s * total + b * f..s * total + (b + 1) * f]);
+            }
+            let Some(gi) = conv.grads(&pool.backward(&g), grads) else { continue };
+            grad_in = Some(match grad_in {
+                // Branches accumulate in ascending branch order: a
+                // fixed chain, so the sum is reproducible bit for bit.
+                Some(acc) => acc.add(&gi).expect("branch grads share the input shape"),
+                None => gi,
+            });
+        }
+        grad_in
+    }
 }
 
 impl Layer for Conv1dBank {
@@ -337,26 +377,15 @@ impl Layer for Conv1dBank {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let total = self.out_features();
-        let n = grad_out.shape()[0];
-        assert_eq!(grad_out.shape(), &[n, total], "grad shape mismatch");
-        let f = self.filters;
-        let mut grad_in: Option<Tensor> = None;
-        for (b, (conv, pool)) in self.branches.iter_mut().enumerate() {
-            let mut g = Tensor::zeros(&[n, f]);
-            for s in 0..n {
-                g.data_mut()[s * f..(s + 1) * f]
-                    .copy_from_slice(&grad_out.data()[s * total + b * f..s * total + (b + 1) * f]);
-            }
-            let gi = conv.backward(&pool.backward(&g));
-            grad_in = Some(match grad_in {
-                // Branches accumulate in ascending branch order: a
-                // fixed chain, so the sum is reproducible bit for bit.
-                Some(acc) => acc.add(&gi).expect("branch grads share the input shape"),
-                None => gi,
-            });
-        }
-        grad_in.expect("bank has at least one branch")
+        self.grads(grad_out, Grads::Both).expect("input gradient asked for")
+    }
+
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        self.grads(grad_out, Grads::Params);
+    }
+
+    fn input_grad(&mut self, grad_out: &Tensor) -> Tensor {
+        self.grads(grad_out, Grads::Input).expect("input gradient asked for")
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {

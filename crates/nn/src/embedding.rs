@@ -61,6 +61,19 @@ impl Embedding {
     pub fn table(&self) -> &Tensor {
         &self.table
     }
+
+    /// The cached forward's table rows and input shape, once
+    /// `grad_out` is checked against the output shape they imply.
+    fn checked_cache(&self, grad_out: &Tensor) -> &(Vec<usize>, Vec<usize>) {
+        let cache = self.cached_rows.as_ref().expect("backward before forward");
+        let in_shape = &cache.1;
+        assert_eq!(
+            grad_out.shape(),
+            &[in_shape[0], 1, in_shape[2], self.dim],
+            "grad shape mismatch"
+        );
+        cache
+    }
 }
 
 impl Layer for Embedding {
@@ -89,18 +102,17 @@ impl Layer for Embedding {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (rows, in_shape) = self.cached_rows.as_ref().expect("backward before forward");
-        assert_eq!(
-            grad_out.shape(),
-            &[in_shape[0], 1, in_shape[2], self.dim],
-            "grad shape mismatch"
-        );
+        self.accumulate_grads(grad_out);
+        self.input_grad(grad_out)
+    }
+
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
         // Bucket positions by table row. Positions enter each bucket in
         // ascending flattened (sample, position) order, so the per-row
         // accumulation below replays the same additions in the same
         // order no matter how callers batched or partitioned the data.
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.vocab];
-        for (pos, &row) in rows.iter().enumerate() {
+        for (pos, &row) in self.checked_cache(grad_out).0.iter().enumerate() {
             buckets[row].push(pos);
         }
         let dim = self.dim;
@@ -118,9 +130,12 @@ impl Layer for Embedding {
                 }
             }
         }
+    }
+
+    fn input_grad(&mut self, grad_out: &Tensor) -> Tensor {
         // Token ids are discrete; the layer is constant in its input
         // almost everywhere, so the input gradient is exactly zero.
-        Tensor::zeros(in_shape)
+        Tensor::zeros(&self.checked_cache(grad_out).1)
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {

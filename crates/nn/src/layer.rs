@@ -51,11 +51,30 @@ pub struct ParamSet<'a> {
 /// A differentiable network layer.
 ///
 /// Layers own their parameters, gradients, and whatever activation caches
-/// the backward pass needs. Calling [`Layer::backward`] is only valid
+/// the backward pass needs. Calling a backward method is only valid
 /// after a [`Layer::forward`] on the same layer; backward passes are
 /// read-only with respect to the caches, so several backward passes may
 /// follow a single forward (the Jacobian computation in the adversarial
 /// crate relies on this).
+///
+/// Backward comes in three forms, by which gradients the caller reads:
+///
+/// * [`Layer::backward`] computes both: it accumulates the parameter
+///   gradients and returns the input gradient. [`crate::Network::backward`]
+///   runs it on every layer past the first one with parameters.
+/// * [`Layer::accumulate_grads`] computes only the parameter gradients.
+///   [`crate::Network::backward`] runs it on the first layer with
+///   parameters, whose input gradient (the network input's) no trainer
+///   reads.
+/// * [`Layer::input_grad`] computes only the input gradient.
+///   [`crate::Network::input_grad`] runs it on every layer; the gradient
+///   attacks read nothing else.
+///
+/// Both halves fall back to [`Layer::backward`], which is exact for a
+/// layer without parameters. A layer whose halves each cost work
+/// (convolutions, `Linear`, `Embedding`) overrides them and builds its
+/// `backward` from the same code, so each gradient it computes has the
+/// same bits whichever method computed it.
 ///
 /// Layers are `Send` so whole networks can move across threads — the
 /// benchmark runner trains independent cells on worker threads (see
@@ -80,6 +99,20 @@ pub trait Layer: Send + AsAny {
     /// accumulating parameter gradients and returning the gradient
     /// w.r.t. the layer's input.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// The parameter half of [`Layer::backward`]: accumulates the
+    /// parameter gradients and computes no input gradient.
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
+
+    /// The input half of [`Layer::backward`]: returns the gradient
+    /// w.r.t. the layer's input and leaves the parameter gradients as
+    /// they are. The fallback suits only layers without parameters;
+    /// every layer with parameters overrides it.
+    fn input_grad(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward(grad_out)
+    }
 
     /// Mutable handles over parameters and their gradients. Empty for
     /// parameter-free layers.

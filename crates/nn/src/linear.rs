@@ -94,6 +94,11 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.accumulate_grads(grad_out);
+        self.input_grad(grad_out)
+    }
+
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("backward before forward");
         let n = input.shape()[0];
         assert_eq!(grad_out.shape(), &[n, self.out_features], "grad shape mismatch");
@@ -113,6 +118,12 @@ impl Layer for Linear {
                 *b += g;
             }
         }
+    }
+
+    fn input_grad(&mut self, grad_out: &Tensor) -> Tensor {
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let n = input.shape()[0];
+        assert_eq!(grad_out.shape(), &[n, self.out_features], "grad shape mismatch");
         // gX = gY @ W  (n x in)
         let mut grad_in = Tensor::zeros(&[n, self.in_features]);
         gemm(

@@ -8,11 +8,17 @@ use std::ops::Range;
 /// A sequential stack of layers with forward/backward orchestration and
 /// aggregate cost accounting.
 ///
+/// Backward comes in two halves, by what the caller reads:
+/// [`Network::backward`] accumulates the parameter gradients for
+/// training, and [`Network::input_grad`] returns an activation gradient
+/// for the gradient attacks. Neither computes what only the other's
+/// caller needs (see [`Layer`] for the per-layer halves).
+///
 /// A pass can also be split at any layer boundary
 /// ([`Network::forward_prefix`], [`Network::forward_from`],
-/// [`Network::backward_from`]); the gradient attacks split a token
-/// model past its embedding this way. Split passes run the same traced
-/// loops as full ones.
+/// [`Network::input_grad`]); the gradient attacks split a token model
+/// past its embedding this way. Split passes run the same traced loops
+/// as full ones.
 ///
 /// All reference architectures in the paper (Tables IV and V) are
 /// sequential, so a `Vec<Box<dyn Layer>>` container is sufficient and
@@ -101,31 +107,49 @@ impl Network {
         x
     }
 
-    /// Propagates a gradient from the output back to the input,
-    /// accumulating parameter gradients along the way, and returns the
-    /// gradient w.r.t. the network input (used by adversarial attacks).
-    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_from(0, grad_output)
+    /// Backpropagates `grad_output` (the loss gradient at the logits)
+    /// for training: accumulates every parameter gradient and computes
+    /// nothing else. Trainers, distributed workers and the gradient
+    /// checks call this.
+    ///
+    /// No caller reads the gradient at the network input, so the walk
+    /// stops at the first layer with parameters, which runs
+    /// [`Layer::accumulate_grads`] (a first convolution skips its
+    /// data-gradient kernel, a first `Linear` its `gY·W` GEMM); the
+    /// parameter-free layers before it do not run at all. A network
+    /// without parameters runs every layer's backward, so an
+    /// inference-only (int8) layer still refuses the call.
+    ///
+    /// Each layer runs under a `<layer>.bwd` trace span. Backward spans
+    /// carry no FLOP payload: the layer's input shape (which the
+    /// estimate needs) is not visible here, and the kernel spans inside
+    /// carry their own counts.
+    pub fn backward(&mut self, grad_output: &Tensor) {
+        let first = self.layers.iter_mut().position(|l| !l.params().is_empty()).unwrap_or(0);
+        let mut g = grad_output.clone();
+        for (i, layer) in self.layers[first..].iter_mut().enumerate().rev() {
+            let _span = backward_span(layer.as_ref());
+            if i == 0 {
+                layer.accumulate_grads(&g);
+            } else {
+                g = layer.backward(&g);
+            }
+        }
     }
 
-    /// Propagates a gradient backward through the `[start, len)` suffix
-    /// only, returning the gradient w.r.t. the activation entering
-    /// layer `start` (parameter gradients accumulate as usual). The
-    /// suffix must have been run forward last — via
-    /// [`Network::forward_from`] or a full [`Network::forward`].
-    pub fn backward_from(&mut self, start: usize, grad_output: &Tensor) -> Tensor {
+    /// Propagates `grad_output` backward through the `[split, len)`
+    /// suffix and returns the gradient w.r.t. the activation entering
+    /// layer `split`, computing no parameter gradient (each layer runs
+    /// [`Layer::input_grad`], under the span [`Network::backward`]
+    /// describes). The gradient attacks call this: `split` is 0 for a
+    /// pixel model and past the embedding for a token model. The suffix
+    /// must have been run forward last — via [`Network::forward_from`]
+    /// or a full [`Network::forward`].
+    pub fn input_grad(&mut self, split: usize, grad_output: &Tensor) -> Tensor {
         let mut g = grad_output.clone();
-        for layer in self.layers[start..].iter_mut().rev() {
-            // Backward spans carry no FLOP payload: the layer's input
-            // shape (which the estimate needs) is not visible here, and
-            // the kernel spans inside carry their own counts.
-            let _span = dlbench_trace::enabled().then(|| {
-                dlbench_trace::span_owned(
-                    dlbench_trace::Category::Layer,
-                    format!("{}.bwd", layer.name()),
-                )
-            });
-            g = layer.backward(&g);
+        for layer in self.layers[split..].iter_mut().rev() {
+            let _span = backward_span(layer.as_ref());
+            g = layer.input_grad(&g);
         }
         g
     }
@@ -191,6 +215,14 @@ impl Network {
     }
 }
 
+/// The `<layer>.bwd` Layer span of one backward step (none while
+/// tracing is off, so the name is never formatted then).
+fn backward_span(layer: &dyn Layer) -> Option<dlbench_trace::SpanGuard> {
+    dlbench_trace::enabled().then(|| {
+        dlbench_trace::span_owned(dlbench_trace::Category::Layer, format!("{}.bwd", layer.name()))
+    })
+}
+
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
@@ -203,7 +235,10 @@ impl std::fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Conv2d, Flatten, Initializer, Linear, MaxPool2d, Relu, SoftmaxCrossEntropy};
+    use crate::{
+        Conv1dBank, Conv2d, Dropout, Embedding, Flatten, Initializer, Linear, MaxPool2d, Relu,
+        SoftmaxCrossEntropy, Tanh,
+    };
     use dlbench_tensor::SeededRng;
 
     fn tiny_net(rng: &mut SeededRng) -> Network {
@@ -235,8 +270,7 @@ mod tests {
         let mut loss = SoftmaxCrossEntropy::new();
         let logits = net.forward(&x, false);
         loss.forward(&logits, &labels);
-        net.zero_grads();
-        let gx = net.backward(&loss.backward());
+        let gx = net.input_grad(0, &loss.backward());
 
         let eps = 1e-2f32;
         for &idx in &[0usize, 17, 40, 63] {
@@ -322,24 +356,22 @@ mod tests {
         let mut g = Tensor::zeros(&[2, 10]);
         g.data_mut()[3] = 1.0;
         g.data_mut()[14] = -2.0;
-        net.zero_grads();
-        let gx_whole = net.backward(&g);
+        let gx_whole = net.input_grad(0, &g);
 
         for split in 0..=net.len() {
             let mid = net.forward_prefix(split, &x, false);
             let out = net.forward_from(split, &mid, false);
             assert_eq!(out, whole, "split at {split}");
         }
-        // Suffix backward at split 0 is the whole backward.
-        net.forward(&x, false);
-        net.zero_grads();
-        assert_eq!(net.backward_from(0, &g), gx_whole);
+        // A split pass's input gradient at 0 is the whole pass's.
+        let mid = net.forward_prefix(0, &x, false);
+        net.forward_from(0, &mid, false);
+        assert_eq!(net.input_grad(0, &g), gx_whole);
         // Backward through a strict suffix returns the gradient at the
         // split boundary, matching a finite shape check.
         let mid = net.forward_prefix(2, &x, false);
         net.forward_from(2, &mid, false);
-        net.zero_grads();
-        let g_mid = net.backward_from(2, &g);
+        let g_mid = net.input_grad(2, &g);
         assert_eq!(g_mid.shape(), mid.shape());
     }
 
@@ -353,8 +385,108 @@ mod tests {
         net.forward(&x, false);
         let mut g = Tensor::zeros(&[1, 10]);
         g.data_mut()[3] = 1.0;
-        let g1 = net.backward(&g);
-        let g2 = net.backward(&g);
+        let g1 = net.input_grad(0, &g);
+        let g2 = net.input_grad(0, &g);
         assert_eq!(g1, g2);
+    }
+
+    /// The nets the backward halves are pinned on, each with an input
+    /// batch: one starting with a conv, one whose first layer has no
+    /// parameters (a Flatten ahead of a Linear, with a Dropout inside),
+    /// one starting with a Linear, and a token model (an Embedding
+    /// ahead of a Conv1dBank).
+    fn split_nets(rng: &mut SeededRng) -> Vec<(Network, Tensor)> {
+        let conv = (tiny_net(rng), Tensor::randn(&[2, 1, 8, 8], 0.0, 1.0, rng));
+        let mut flat = Network::new("flatten-first");
+        flat.push(Flatten::new());
+        flat.push(Linear::new(16, 8, Initializer::Xavier, rng));
+        flat.push(Relu::new());
+        flat.push(Dropout::new(0.5, rng.fork(1)));
+        flat.push(Linear::new(8, 5, Initializer::Xavier, rng));
+        let flat = (flat, Tensor::randn(&[3, 1, 4, 4], 0.0, 1.0, rng));
+        let mut dense = Network::new("linear-first");
+        dense.push(Linear::new(6, 8, Initializer::Xavier, rng));
+        dense.push(Tanh::new());
+        dense.push(Linear::new(8, 4, Initializer::Xavier, rng));
+        let dense = (dense, Tensor::randn(&[3, 6], 0.0, 1.0, rng));
+        let mut text = Network::new("embedding-first");
+        text.push(Embedding::new(10, 4, Initializer::Xavier, rng));
+        text.push(Conv1dBank::new(3, &[2, 3], 4, Initializer::Xavier, rng));
+        text.push(Relu::new());
+        text.push(Linear::new(6, 2, Initializer::Xavier, rng));
+        let ids: Vec<f32> = (0..12).map(|i| ((i * 7) % 10) as f32).collect();
+        let text = (text, Tensor::from_vec(&[2, 1, 6, 1], ids).unwrap());
+        vec![conv, flat, dense, text]
+    }
+
+    /// Runs `net` forward in training mode (Dropout draws its mask)
+    /// and returns a random gradient at the logits.
+    fn forward_with_grad(net: &mut Network, x: &Tensor, rng: &mut SeededRng) -> Tensor {
+        let logits = net.forward(x, true);
+        Tensor::randn(logits.shape(), 0.0, 1.0, rng)
+    }
+
+    /// Every layer's full [`Layer::backward`], output to input, from
+    /// zeroed parameter gradients: the gradient entering each layer
+    /// (index `i` is layer `i`'s input gradient, index `len` is `g`)
+    /// and the bits of every parameter gradient afterwards.
+    fn full_chain(net: &mut Network, g: &Tensor) -> (Vec<Tensor>, Vec<Vec<u32>>) {
+        net.zero_grads();
+        let mut grads = vec![g.clone()];
+        for layer in net.layers_mut().iter_mut().rev() {
+            let next = layer.backward(grads.last().unwrap());
+            grads.push(next);
+        }
+        grads.reverse();
+        (grads, grad_bits(net))
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn grad_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        net.params().iter().map(|p| bits(p.grad)).collect()
+    }
+
+    #[test]
+    fn backward_accumulates_the_full_chains_parameter_gradients() {
+        let mut rng = SeededRng::new(9);
+        for (mut net, x) in split_nets(&mut rng) {
+            let g = forward_with_grad(&mut net, &x, &mut rng);
+            let (_, want) = full_chain(&mut net, &g);
+            net.zero_grads();
+            net.backward(&g);
+            assert_eq!(grad_bits(&mut net), want, "{}", net.name());
+        }
+    }
+
+    #[test]
+    fn input_grad_returns_the_full_chains_gradient_at_every_split() {
+        let mut rng = SeededRng::new(10);
+        for (mut net, x) in split_nets(&mut rng) {
+            let g = forward_with_grad(&mut net, &x, &mut rng);
+            let (want, _) = full_chain(&mut net, &g);
+            for (split, want) in want.iter().enumerate() {
+                let got = net.input_grad(split, &g);
+                assert_eq!(bits(&got), bits(want), "{} at {split}", net.name());
+            }
+        }
+    }
+
+    #[test]
+    fn input_grad_leaves_parameter_gradients_as_they_were() {
+        let mut rng = SeededRng::new(11);
+        for (mut net, x) in split_nets(&mut rng) {
+            let g = forward_with_grad(&mut net, &x, &mut rng);
+            for p in net.params() {
+                p.grad.fill(0.375);
+            }
+            let sentinel = grad_bits(&mut net);
+            for split in 0..=net.len() {
+                net.input_grad(split, &g);
+                assert_eq!(grad_bits(&mut net), sentinel, "{} at {split}", net.name());
+            }
+        }
     }
 }

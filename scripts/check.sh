@@ -45,11 +45,6 @@ cargo run -p dlbench-cli --release --locked -q -- loadgen --sweep --deadlines-ms
     --requests 24 > /dev/null
 test -s target/dlbench-reports/BENCH_serve.json
 
-echo "==> kernel perf gate (full timings vs committed baseline, >15% fails)"
-DLBENCH_PERF_BASELINE="$PWD/crates/bench/baselines/kernels.json" \
-    cargo bench --bench kernels --locked
-test -s target/dlbench-reports/BENCH_kernels.json
-
 echo "==> dist smoke (2-worker Tiny run, fault injection, bit-identity vs 1 worker)"
 cargo run -p dlbench-cli --release --locked -q -- dist-train --workers 2 \
     --strategy ring --max-steps 30 --kill 1:5 > /dev/null
@@ -156,5 +151,13 @@ sh scripts/suitebench-smoke.sh serve-mix 64
 
 echo "==> fleet-sweep smoke (seed 42, 2 s; seed-42 completed, shed and mean_batch checked)"
 sh scripts/suitebench-smoke.sh fleet-sweep
+
+# Last, so every step above reports even on a host where the absolute
+# kernel timings miss the committed baseline; a miss still fails the
+# script.
+echo "==> kernel perf gate (full timings vs committed baseline, >15% fails)"
+DLBENCH_PERF_BASELINE="$PWD/crates/bench/baselines/kernels.json" \
+    cargo bench --bench kernels --locked
+test -s target/dlbench-reports/BENCH_kernels.json
 
 echo "==> OK"

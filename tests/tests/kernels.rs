@@ -233,6 +233,7 @@ fn fused_conv_forward_is_bitwise_transparent_for_all_personalities() {
 }
 
 /// Gradients of a conv layer: input, weight, bias.
+#[derive(Clone)]
 struct ConvGrads {
     input: Vec<f32>,
     weight: Vec<f32>,
@@ -279,25 +280,26 @@ fn materialized_conv_backward(
     grads
 }
 
-/// Runs `layer`'s backward at `threads` from the `running` weight and
-/// bias gradients (a forward on `x` first, to cache the input).
+/// Runs `pass` (one of `layer`'s backward methods, returning the input
+/// gradient it computed, if any) at `threads` from the `running` weight
+/// and bias gradients (a forward on `x` first, to cache the input).
 fn layer_backward(
     layer: &mut dyn Layer,
     x: &Tensor,
-    grad_out: &Tensor,
     running: &ConvGrads,
     threads: usize,
+    pass: impl FnOnce(&mut dyn Layer) -> Vec<f32>,
 ) -> ConvGrads {
     let input = at_threads(threads, || {
         layer.forward(x, true);
         for (param, init) in layer.params().into_iter().zip([&running.weight, &running.bias]) {
             param.grad.data_mut().copy_from_slice(init);
         }
-        layer.backward(grad_out)
+        pass(layer)
     });
     let params = layer.params();
     ConvGrads {
-        input: input.into_vec(),
+        input,
         weight: params[0].grad.data().to_vec(),
         bias: params[1].grad.data().to_vec(),
     }
@@ -329,17 +331,42 @@ fn check_backward(
         bias: Tensor::randn(&[oc], 0.0, 1.0, rng).into_vec(),
     };
     let want = materialized_conv_backward(geo, weight, x.data(), grad_out.data(), &running);
+    // Each half computes its gradients with the full pass's bits and
+    // leaves the others alone: `accumulate_grads` returns no input
+    // gradient and `input_grad` adds nothing to the running ones.
+    let params_only = ConvGrads { input: Vec::new(), ..want.clone() };
+    let input_only = ConvGrads { input: want.input.clone(), ..running.clone() };
     for threads in [1, 4] {
-        let got = layer_backward(layer, x, grad_out, &running, threads);
-        for (what, g, w) in [
-            ("input", &got.input, &want.input),
-            ("weight", &got.weight, &want.weight),
-            ("bias", &got.bias, &want.bias),
+        for (pass, got, want) in [
+            (
+                "backward",
+                layer_backward(layer, x, &running, threads, |l| l.backward(grad_out).into_vec()),
+                &want,
+            ),
+            (
+                "accumulate_grads",
+                layer_backward(layer, x, &running, threads, |l| {
+                    l.accumulate_grads(grad_out);
+                    Vec::new()
+                }),
+                &params_only,
+            ),
+            (
+                "input_grad",
+                layer_backward(layer, x, &running, threads, |l| l.input_grad(grad_out).into_vec()),
+                &input_only,
+            ),
         ] {
-            assert!(
-                same_bits(g, w),
-                "{label}: fused {what} gradient != materialized @ {threads} threads"
-            );
+            for (what, g, w) in [
+                ("input", &got.input, &want.input),
+                ("weight", &got.weight, &want.weight),
+                ("bias", &got.bias, &want.bias),
+            ] {
+                assert!(
+                    same_bits(g, w),
+                    "{label}: fused {pass} {what} gradient != materialized @ {threads} threads"
+                );
+            }
         }
     }
     want
@@ -350,7 +377,9 @@ fn check_backward(
 /// strided padded geometry, a 1×1 kernel and every IMDB conv-bank
 /// branch, `backward`'s input, weight and bias gradients equal the
 /// materialized oracle's, serial and at 4 threads, accumulated onto
-/// nonzero gradients already present.
+/// nonzero gradients already present. So do the gradients each half
+/// computes (`accumulate_grads`, `input_grad`), and neither touches the
+/// other's.
 #[test]
 fn fused_conv_backward_is_bitwise_transparent_for_all_personalities() {
     let _gate = gate();

@@ -3,10 +3,10 @@
 //! merged event stream, and a traced training run must produce the
 //! nested structure the profiler and Chrome exporter rely on.
 
-use dlbench_nn::{Conv2d, Initializer, Layer};
+use dlbench_nn::{Conv2d, Flatten, Initializer, Layer, Linear, Network, Relu};
 use dlbench_tensor::{par, SeededRng, Tensor};
 use dlbench_trace::{Category, EventKind, TraceConfig};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 /// Serializes tests that mutate the global tracer and worker count.
@@ -82,6 +82,59 @@ fn conv_worker_thread_spans_merge_into_one_stream() {
     // The merged stream is seq-sorted regardless of which thread
     // recorded each event.
     assert!(events.windows(2).all(|w| w[0].seq < w[1].seq), "merged events out of order");
+}
+
+/// Kernel spans per name that `pass` records on `net`, after a
+/// training forward on `x`.
+fn kernel_counts(
+    net: &mut Network,
+    x: &Tensor,
+    pass: impl FnOnce(&mut Network),
+) -> BTreeMap<String, usize> {
+    net.forward(x, true);
+    dlbench_trace::take_events();
+    pass(net);
+    let mut counts = BTreeMap::new();
+    for e in dlbench_trace::take_events() {
+        if e.cat == Category::Kernel && e.is_span() {
+            *counts.entry(e.name.to_string()).or_default() += 1;
+        }
+    }
+    counts
+}
+
+#[test]
+fn backward_halves_run_only_the_kernels_their_callers_read() {
+    let _gate = gate();
+    let _armed = Armed::new();
+    let n = 3;
+    let mut rng = SeededRng::new(0x5B17);
+    let mut net = Network::new("traced-halves");
+    net.push(Conv2d::new(1, 4, 3, 1, 1, Initializer::Xavier, &mut rng));
+    net.push(Relu::new());
+    net.push(Flatten::new());
+    net.push(Linear::new(4 * 6 * 6, 5, Initializer::Xavier, &mut rng));
+    let x = Tensor::randn(&[n, 1, 6, 6], 0.0, 1.0, &mut rng);
+    let g = Tensor::randn(&[n, 5], 0.0, 1.0, &mut rng);
+
+    // Training reads no network-input gradient: the first conv runs its
+    // filter kernel per sample and no data kernel; the Linear runs both
+    // of its GEMMs, since the conv needs its input gradient.
+    let train = kernel_counts(&mut net, &x, |net| net.backward(&g));
+    assert_eq!(train.get("conv_bwd_data"), None, "{train:?}");
+    assert_eq!(train.get("conv_bwd_filter"), Some(&n), "{train:?}");
+    assert_eq!(train.get("gemm_at_b"), Some(&1), "{train:?}");
+    assert_eq!(train.get("gemm"), Some(&1), "{train:?}");
+
+    // An attack reads no parameter gradient: no filter kernel and no
+    // weight-gradient GEMM, only the data kernels.
+    let attack = kernel_counts(&mut net, &x, |net| {
+        net.input_grad(0, &g);
+    });
+    assert_eq!(attack.get("conv_bwd_filter"), None, "{attack:?}");
+    assert_eq!(attack.get("gemm_at_b"), None, "{attack:?}");
+    assert_eq!(attack.get("conv_bwd_data"), Some(&n), "{attack:?}");
+    assert_eq!(attack.get("gemm"), Some(&1), "{attack:?}");
 }
 
 #[test]
