@@ -537,13 +537,7 @@ pub fn table_ix(runner: &mut BenchmarkRunner) -> ExperimentReport {
     );
     for (host, owner, rates, _, _) in &campaign.combos {
         let setting = DefaultSetting::new(*owner, DatasetKind::Mnist);
-        let arch = trainer::effective_arch(*host, &setting);
-        let fc_in = arch.first_fc_input((1, 28, 28));
-        let fc_out = match *owner {
-            FrameworkKind::TensorFlow => 1024,
-            FrameworkKind::Caffe => 500,
-            FrameworkKind::Torch => 200,
-        };
+        let (fc_in, fc_out) = trainer::effective_arch(*host, &setting).first_fc((1, 28, 28));
         let regularizer = match *host {
             FrameworkKind::TensorFlow => "drop out",
             FrameworkKind::Caffe => "weight decay",

@@ -1,6 +1,6 @@
-//! Pluggable gradient-aggregation collectives.
+//! Gradient-aggregation collectives.
 //!
-//! A [`Collective`] decides *where* shard gradients meet and *what*
+//! A [`Strategy`] decides *where* shard gradients meet and *what*
 //! travels over the wire; the arithmetic is always the same canonical
 //! fixed-order reduction ([`tree_reduce`]), which is why the choice of
 //! strategy (and the world size) cannot change a single bit of the
@@ -46,104 +46,62 @@ impl Strategy {
         }
     }
 
-    /// Instantiates the collective implementing this strategy.
-    pub fn collective(&self) -> Box<dyn Collective> {
+    /// Whether workers attach shard gradients to their `Computed` ack
+    /// for a central reduce (`true`, the parameter server) or retain
+    /// them for a peer exchange (`false`, the ring).
+    pub fn centralizes_gradients(&self) -> bool {
         match self {
-            Strategy::ParameterServer => Box::new(ParameterServer),
-            Strategy::Ring => Box::new(RingAllReduce),
+            Strategy::ParameterServer => true,
+            Strategy::Ring => false,
         }
     }
-}
-
-/// A pluggable gradient-aggregation strategy.
-///
-/// The driver is strategy-agnostic: after collecting phase-1 acks it
-/// asks the collective for one phase-2 command per live worker and
-/// ships them. Implementations choose between centralizing gradients
-/// (attached to the compute ack, reduced once, broadcast) and leaving
-/// them worker-resident (peer exchange, replicated reduction).
-pub trait Collective: Send + Sync {
-    /// Strategy this collective implements.
-    fn strategy(&self) -> Strategy;
-
-    /// Short name for reports and traces.
-    fn name(&self) -> &'static str {
-        self.strategy().name()
-    }
-
-    /// Whether workers must attach shard gradients to their `Computed`
-    /// ack (`true`) or retain them for a peer exchange (`false`).
-    fn centralizes_gradients(&self) -> bool;
 
     /// Builds the phase-2 command for each live worker, parallel to
     /// `live` order. `collected` holds the centrally collected shard
-    /// gradients of this step (empty for decentralized strategies).
-    fn reduce_cmds(&self, live: &[usize], collected: Vec<ShardGrad>) -> Vec<Cmd>;
+    /// gradients of this step (empty for the ring). The driver plays
+    /// the parameter server: it reduces once and broadcasts the
+    /// aggregate. Ring gradients never leave the worker pool: each
+    /// worker gets its ring channels.
+    pub fn reduce_cmds(&self, live: &[usize], collected: Vec<ShardGrad>) -> Vec<Cmd> {
+        match self {
+            Strategy::ParameterServer => {
+                let agg = {
+                    let _reduce = span(Category::Dist, "reduce");
+                    Arc::new(tree_reduce(collected))
+                };
+                live.iter().map(|_| Cmd::Apply { grads: Arc::clone(&agg) }).collect()
+            }
+            Strategy::Ring => {
+                debug_assert!(collected.is_empty(), "ring keeps gradients worker-resident");
+                drop(collected);
+                let m = live.len();
+                // Channel i carries ring position i → i+1 (mod m). Worker
+                // at position i sends on channel i and receives on
+                // channel i-1.
+                let mut senders = Vec::with_capacity(m);
+                let mut receivers: Vec<Option<_>> = Vec::with_capacity(m);
+                for _ in 0..m {
+                    let (tx, rx) = channel::<Vec<ShardGrad>>();
+                    senders.push(tx);
+                    receivers.push(Some(rx));
+                }
+                let mut cmds = Vec::with_capacity(m);
+                for (i, send) in senders.into_iter().enumerate() {
+                    let recv =
+                        receivers[(i + m - 1) % m].take().expect("each ring channel used once");
+                    cmds.push(Cmd::Exchange { send, recv, hops: m - 1 });
+                }
+                cmds
+            }
+        }
+    }
 
     /// Prices one step's gradient exchange on a link.
-    fn comm_cost(&self, link: &LinkProfile, grad_bytes: u64, world: usize) -> CommCost;
-}
-
-/// Parameter-server collective: the driver plays the server.
-pub struct ParameterServer;
-
-impl Collective for ParameterServer {
-    fn strategy(&self) -> Strategy {
-        Strategy::ParameterServer
-    }
-
-    fn centralizes_gradients(&self) -> bool {
-        true
-    }
-
-    fn reduce_cmds(&self, live: &[usize], collected: Vec<ShardGrad>) -> Vec<Cmd> {
-        let agg = {
-            let _reduce = span(Category::Dist, "reduce");
-            Arc::new(tree_reduce(collected))
-        };
-        live.iter().map(|_| Cmd::Apply { grads: Arc::clone(&agg) }).collect()
-    }
-
-    fn comm_cost(&self, link: &LinkProfile, grad_bytes: u64, world: usize) -> CommCost {
-        link.parameter_server_step(grad_bytes, world)
-    }
-}
-
-/// Ring all-reduce collective: gradients never leave the worker pool.
-pub struct RingAllReduce;
-
-impl Collective for RingAllReduce {
-    fn strategy(&self) -> Strategy {
-        Strategy::Ring
-    }
-
-    fn centralizes_gradients(&self) -> bool {
-        false
-    }
-
-    fn reduce_cmds(&self, live: &[usize], collected: Vec<ShardGrad>) -> Vec<Cmd> {
-        debug_assert!(collected.is_empty(), "ring keeps gradients worker-resident");
-        drop(collected);
-        let m = live.len();
-        // Channel i carries ring position i → i+1 (mod m). Worker at
-        // position i sends on channel i and receives on channel i-1.
-        let mut senders = Vec::with_capacity(m);
-        let mut receivers: Vec<Option<_>> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (tx, rx) = channel::<Vec<ShardGrad>>();
-            senders.push(tx);
-            receivers.push(Some(rx));
+    pub fn comm_cost(&self, link: &LinkProfile, grad_bytes: u64, world: usize) -> CommCost {
+        match self {
+            Strategy::ParameterServer => link.parameter_server_step(grad_bytes, world),
+            Strategy::Ring => link.ring_step(grad_bytes, world),
         }
-        let mut cmds = Vec::with_capacity(m);
-        for (i, send) in senders.into_iter().enumerate() {
-            let recv = receivers[(i + m - 1) % m].take().expect("each ring channel used once");
-            cmds.push(Cmd::Exchange { send, recv, hops: m - 1 });
-        }
-        cmds
-    }
-
-    fn comm_cost(&self, link: &LinkProfile, grad_bytes: u64, world: usize) -> CommCost {
-        link.ring_step(grad_bytes, world)
     }
 }
 
@@ -267,7 +225,7 @@ mod tests {
     #[test]
     fn ring_reduce_cmds_wire_a_cycle() {
         let live = [0usize, 2, 5];
-        let cmds = RingAllReduce.reduce_cmds(&live, Vec::new());
+        let cmds = Strategy::Ring.reduce_cmds(&live, Vec::new());
         assert_eq!(cmds.len(), 3);
         for cmd in &cmds {
             match cmd {
@@ -291,7 +249,7 @@ mod tests {
     fn ps_reduce_cmds_share_one_aggregate() {
         let sets: Vec<ShardGrad> = (0..3).map(|i| set(i, &[i as f32, 1.0])).collect();
         let expect = tree_reduce(sets.clone());
-        let cmds = ParameterServer.reduce_cmds(&[0, 1], sets);
+        let cmds = Strategy::ParameterServer.reduce_cmds(&[0, 1], sets);
         assert_eq!(cmds.len(), 2);
         for cmd in cmds {
             match cmd {

@@ -1,7 +1,7 @@
 //! The distributed training driver.
 //!
 //! Spawns N worker replicas over scoped threads, feeds them canonical
-//! shards step by step, runs the pluggable collective's reduce phase,
+//! shards step by step, runs the strategy's collective reduce phase,
 //! and keeps the books: loss curve, divergence latch, fault events,
 //! simulated compute/communication time. The driver doubles as the
 //! parameter server when that strategy is selected.
@@ -158,7 +158,6 @@ pub fn run_dist_training_observed(
     let exec_iters = dcfg.max_steps.map_or(exec_full, |m| exec_full.min(m.max(1)));
     let iters_per_epoch = (train.len() / config.batch_size).max(1);
 
-    let collective = dcfg.strategy.collective();
     let mut tracker = SimTracker::new(host, &setting, dataset);
     let started = Stopwatch::start();
 
@@ -184,7 +183,7 @@ pub fn run_dist_training_observed(
             config: config.clone(),
             weight_decay,
             exec_iters,
-            centralize: collective.centralizes_gradients(),
+            centralize: dcfg.strategy.centralizes_gradients(),
             kill_at: dcfg.faults.kill_step(rank),
             cmds: cmd_rx,
             acks: ack_tx,
@@ -315,7 +314,7 @@ pub fn run_dist_training_observed(
                     (samples.get(&r).copied().unwrap_or(0), dcfg.faults.straggle_factor(r, it))
                 })
                 .collect();
-            tracker.record_step(&loads, batch_len, live.len(), collective.as_ref());
+            tracker.record_step(&loads, batch_len, live.len(), dcfg.strategy);
 
             // Straggler detection and rebalance: adjust future shard
             // assignment weights from observed per-sample sim time.
@@ -381,7 +380,7 @@ pub fn run_dist_training_observed(
             }
 
             // Phase 2: the collective's reduce.
-            let cmds = collective.reduce_cmds(&live, std::mem::take(&mut grads_all));
+            let cmds = dcfg.strategy.reduce_cmds(&live, std::mem::take(&mut grads_all));
             for (&rank, cmd) in live.iter().zip(cmds) {
                 let _ = cmd_txs[rank].send(cmd);
             }
@@ -421,14 +420,6 @@ pub fn run_dist_training_observed(
         .map_err(|e| format!("final checkpoint unreadable: {e}"))?;
     let accuracy = trainer::evaluate(&mut model, &test, preprocessing, &channel_means);
 
-    let tail = &drive.loss_curve[drive.loss_curve.len().saturating_sub(8)..];
-    let tail_loss = if tail.is_empty() {
-        f32::NAN
-    } else {
-        tail.iter().map(|&(_, l)| l).sum::<f32>() / tail.len() as f32
-    };
-    let converged = !drive.diverged && tail_loss.is_finite() && tail_loss < 2.30;
-
     let (sims, comm) = tracker.finish(config.max_iterations);
     Ok(DistOutcome {
         host,
@@ -436,8 +427,8 @@ pub fn run_dist_training_observed(
         world_size: world,
         live_workers: drive.live_workers,
         accuracy,
+        converged: trainer::converged(drive.diverged, &drive.loss_curve),
         loss_curve: drive.loss_curve,
-        converged,
         executed_iterations: exec_iters,
         paper_iterations: config.max_iterations,
         checkpoint: drive.checkpoint,

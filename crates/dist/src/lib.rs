@@ -24,8 +24,9 @@
 //!   ring all-reduce: `2·(W−1)/W·P` per worker in parallel) on the host
 //!   framework's link personality ([`dlbench_simtime::LinkProfile`]).
 //!
-//! The collectives are pluggable behind the [`collective::Collective`]
-//! trait; [`fault::FaultPlan`] injects worker kills and stragglers, and
+//! The two collectives are the variants of [`collective::Strategy`],
+//! which builds each step's reduce commands and prices its exchange;
+//! [`fault::FaultPlan`] injects worker kills and stragglers, and
 //! the driver answers with detect-and-rebalance recovery. The
 //! [`sweep::scaling_sweep`] entry point produces the `BENCH_dist.json`
 //! scaling curves.
@@ -41,9 +42,7 @@ pub mod sim;
 pub mod sweep;
 pub mod world;
 
-pub use collective::{
-    naive_sum, tree_reduce, Collective, ParameterServer, RingAllReduce, Strategy,
-};
+pub use collective::{naive_sum, tree_reduce, Strategy};
 pub use driver::{run_dist_training, run_dist_training_observed, DistConfig, DistOutcome};
 pub use fault::{FaultPlan, Kill, Straggler, StragglerDetector};
 pub use shard::{assign_shards, shard_batch, Shard, MAX_SHARDS};

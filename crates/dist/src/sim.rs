@@ -3,20 +3,19 @@
 //! Following the paper's timing methodology (and Deep500's separation
 //! of *benchmark metric* from *implementation*), the real computation
 //! runs at reduced scale while time is charged for the **paper-scale**
-//! schedule: each worker's per-step compute is priced from the
-//! architecture's paper-scale cost at the worker's share of the paper
-//! batch, and each step's gradient exchange is priced by the
-//! collective's classic cost formula on the host framework's link
-//! profile. The in-process channels that actually move gradients are
-//! the simulation's transport, not the thing being measured.
+//! schedule: each worker's per-step compute is priced from the cell's
+//! paper-scale network at the worker's share of the paper batch, and
+//! each step's gradient exchange is priced by the collective's classic
+//! cost formula on the host framework's link profile. The in-process
+//! channels that actually move gradients are the simulation's
+//! transport, not the thing being measured.
 
-use crate::collective::Collective;
+use crate::collective::Strategy;
 use dlbench_data::DatasetKind;
 use dlbench_frameworks::trainer::{PAPER_TEST_SAMPLES, TEST_BATCH};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind};
-use dlbench_nn::LayerCost;
+use dlbench_nn::{LayerCost, Network};
 use dlbench_simtime::{devices, CostModel, LinkProfile};
-use std::collections::HashMap;
 
 /// Simulated paper-scale times for one device, split into the
 /// compute/communication/wait components of the distributed step.
@@ -51,13 +50,13 @@ pub struct CommTotals {
 /// Accumulates per-step simulated times over a distributed run.
 pub(crate) struct SimTracker {
     devices: Vec<(String, CostModel)>,
+    /// The cell's paper-scale network: every sub-batch is priced on it.
+    paper_net: Network,
     paper_input: (usize, usize, usize),
     paper_batch: usize,
-    arch: dlbench_frameworks::ArchSpec,
     link: LinkProfile,
     grad_bytes: u64,
     test_cost: LayerCost,
-    cost_memo: HashMap<usize, LayerCost>,
     compute: Vec<f64>,
     comm: Vec<f64>,
     wait: Vec<f64>,
@@ -67,33 +66,27 @@ pub(crate) struct SimTracker {
 
 impl SimTracker {
     pub fn new(host: FrameworkKind, setting: &DefaultSetting, dataset: DatasetKind) -> Self {
-        let arch = trainer::effective_arch(host, setting);
-        let config = setting.training();
         let native = setting.tuned_for.native_size();
         let paper_input = (dataset.channels(), native, native);
-        let paper_batch = config.batch_size;
+        let paper_net = trainer::effective_arch(host, setting).paper_network(paper_input);
+        let paper_batch = setting.training().batch_size;
+        let (c, h, w) = paper_input;
         // Wire volume: one full fp32 gradient/parameter image.
-        let grad_bytes = arch.paper_cost(paper_input, paper_batch).params * 4;
+        let grad_bytes = paper_net.cost(&[paper_batch, c, h, w]).params * 4;
         // Paper test pass on one replica, as in the single-node trainer.
-        let mut rng = dlbench_tensor::SeededRng::new(0);
-        let paper_net = arch.build(paper_input, 1.0, host.initializer(), &mut rng);
-        let mut test_cost =
-            paper_net.cost(&[TEST_BATCH, paper_input.0, paper_input.1, paper_input.2]);
-        test_cost.bwd_flops = 0;
-        test_cost.bwd_kernels = 0;
+        let test_cost = paper_net.cost(&[TEST_BATCH, c, h, w]).forward_only();
         let profile = host.execution_profile();
         SimTracker {
             devices: vec![
                 ("CPU".to_string(), CostModel::new(devices::xeon_e5_1620(), profile.clone())),
                 ("GPU".to_string(), CostModel::new(devices::gtx_1080_ti(), profile)),
             ],
+            paper_net,
             paper_input,
             paper_batch,
-            arch,
             link: host.link_profile(),
             grad_bytes,
             test_cost,
-            cost_memo: HashMap::new(),
             compute: vec![0.0; 2],
             comm: vec![0.0; 2],
             wait: vec![0.0; 2],
@@ -102,30 +95,22 @@ impl SimTracker {
         }
     }
 
-    fn paper_cost_for(&mut self, paper_sub_batch: usize) -> LayerCost {
-        if let Some(c) = self.cost_memo.get(&paper_sub_batch) {
-            return *c;
-        }
-        let c = self.arch.paper_cost(self.paper_input, paper_sub_batch);
-        self.cost_memo.insert(paper_sub_batch, c);
-        c
-    }
-
     /// One worker's simulated compute for its share of a step, on
     /// device index `device` (0 = CPU reference, 1 = GPU).
-    fn worker_compute(&mut self, device: usize, samples: usize, batch_len: usize) -> f64 {
+    fn worker_compute(&self, device: usize, samples: usize, batch_len: usize) -> f64 {
         if samples == 0 {
             return 0.0;
         }
         let pb = ((self.paper_batch * samples) as f64 / batch_len as f64).round().max(1.0) as usize;
-        let cost = self.paper_cost_for(pb);
+        let (c, h, w) = self.paper_input;
+        let cost = self.paper_net.cost(&[pb, c, h, w]);
         self.devices[device].1.train_iteration_seconds_batched(&cost, pb)
     }
 
     /// Per-sample simulated seconds on the CPU reference device,
     /// including the injected slowdown — what the straggler detector
     /// observes.
-    pub fn per_sample_reference(&mut self, samples: usize, batch_len: usize, factor: f64) -> f64 {
+    pub fn per_sample_reference(&self, samples: usize, batch_len: usize, factor: f64) -> f64 {
         if samples == 0 {
             return 0.0;
         }
@@ -139,9 +124,9 @@ impl SimTracker {
         loads: &[(usize, f64)],
         batch_len: usize,
         world: usize,
-        collective: &dyn Collective,
+        strategy: Strategy,
     ) {
-        let comm = collective.comm_cost(&self.link, self.grad_bytes, world);
+        let comm = strategy.comm_cost(&self.link, self.grad_bytes, world);
         self.total_bytes += comm.bytes;
         for d in 0..self.devices.len() {
             let mut max = 0.0f64;
@@ -195,7 +180,6 @@ impl SimTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::Strategy;
     use dlbench_frameworks::DefaultSetting;
 
     fn tracker() -> SimTracker {
@@ -206,8 +190,7 @@ mod tests {
     #[test]
     fn balanced_step_has_no_wait() {
         let mut t = tracker();
-        let ps = Strategy::ParameterServer.collective();
-        t.record_step(&[(8, 1.0), (8, 1.0)], 16, 2, ps.as_ref());
+        t.record_step(&[(8, 1.0), (8, 1.0)], 16, 2, Strategy::ParameterServer);
         let (sims, totals) = t.finish(100);
         for s in &sims {
             assert!(s.straggler_wait_seconds.abs() < 1e-12, "{:?}", s);
@@ -228,9 +211,8 @@ mod tests {
     fn straggler_shows_up_as_wait_not_compute() {
         let mut balanced = tracker();
         let mut skewed = tracker();
-        let ps = Strategy::ParameterServer.collective();
-        balanced.record_step(&[(8, 1.0), (8, 1.0)], 16, 2, ps.as_ref());
-        skewed.record_step(&[(8, 1.0), (8, 4.0)], 16, 2, ps.as_ref());
+        balanced.record_step(&[(8, 1.0), (8, 1.0)], 16, 2, Strategy::ParameterServer);
+        skewed.record_step(&[(8, 1.0), (8, 4.0)], 16, 2, Strategy::ParameterServer);
         let (b, _) = balanced.finish(10);
         let (s, _) = skewed.finish(10);
         assert!(s[0].straggler_wait_seconds > b[0].straggler_wait_seconds);
@@ -239,7 +221,7 @@ mod tests {
 
     #[test]
     fn per_sample_reference_scales_with_factor() {
-        let mut t = tracker();
+        let t = tracker();
         let base = t.per_sample_reference(8, 16, 1.0);
         let slow = t.per_sample_reference(8, 16, 3.0);
         assert!(base > 0.0);
@@ -251,11 +233,9 @@ mod tests {
     fn ring_moves_fewer_bytes_than_ps_at_scale() {
         let mut ps_t = tracker();
         let mut ring_t = tracker();
-        let ps = Strategy::ParameterServer.collective();
-        let ring = Strategy::Ring.collective();
         let loads: Vec<(usize, f64)> = (0..8).map(|_| (2usize, 1.0)).collect();
-        ps_t.record_step(&loads, 16, 8, ps.as_ref());
-        ring_t.record_step(&loads, 16, 8, ring.as_ref());
+        ps_t.record_step(&loads, 16, 8, Strategy::ParameterServer);
+        ring_t.record_step(&loads, 16, 8, Strategy::Ring);
         let (_, a) = ps_t.finish(1);
         let (_, b) = ring_t.finish(1);
         assert!(b.total_bytes < a.total_bytes, "ring {} vs ps {}", b.total_bytes, a.total_bytes);

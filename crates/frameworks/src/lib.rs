@@ -14,9 +14,10 @@
 //!   regularizer, input preprocessing.
 //! * **Default network architectures** (Tables IV/V), encoded as
 //!   [`ArchSpec`] data so they can be instantiated at any input size
-//!   (spatial dimensions of the fully-connected stages are derived
-//!   programmatically, exactly reproducing the paper's dimensions at the
-//!   native 28×28 / 32×32 sizes).
+//!   (the fully-connected stages take their input dimensions from the
+//!   output shapes the built `dlbench-nn` layers report, exactly
+//!   reproducing the paper's dimensions at the native 28×28 / 32×32
+//!   sizes).
 //! * **Weight initialization scheme** and **execution profile** (for the
 //!   simulated device timing model).
 //!

@@ -244,11 +244,11 @@ fn cell_model_rng(host: FrameworkKind, setting: &DefaultSetting, seed: u64) -> S
     SeededRng::new(seed).fork(host as u64 * 31 + setting.owner as u64 * 7 + 1)
 }
 
-/// Builds the exact network a cell trains — same architecture, width
-/// multiplier, initializer and RNG stream as [`run_training`] — without
-/// running any training. The serving layer instantiates checkpoint
-/// files against this, and the CLI `--load` paths use it to rebuild the
-/// model a `dlbench train --save` checkpoint was saved from.
+/// Builds the network a cell trains, before any training:
+/// [`run_training`] starts from it. The serving layer instantiates
+/// checkpoint files against this, and the CLI `--load` paths use it to
+/// rebuild the model a `dlbench train --save` checkpoint was saved
+/// from.
 pub fn build_cell_model(
     host: FrameworkKind,
     setting: &DefaultSetting,
@@ -300,10 +300,25 @@ pub fn planned_iterations(
 
 /// The RNG stream [`run_training`]'s batch iterator draws from. Forks
 /// are keyed on the parent stream's seed, not its advanced state, so
-/// this reproduces the trainer's batch schedule without re-running
-/// model initialization.
+/// the stream does not depend on how many draws model initialization
+/// made, and other drivers (the distributed one) reproduce the
+/// trainer's batch schedule with it.
 pub fn batch_rng(host: FrameworkKind, setting: &DefaultSetting, seed: u64) -> SeededRng {
     cell_model_rng(host, setting, seed).fork(2)
+}
+
+/// The convergence verdict of a run, single-node or distributed: it
+/// never diverged, and the mean of the last 8 curve samples (one
+/// sample's loss is noisy at batch size 1) is strictly better than
+/// predicting the uniform distribution (ln 10 ≈ 2.3026). A run that
+/// ends at the uniform plateau has learned nothing.
+pub fn converged(diverged: bool, loss_curve: &[(usize, f32)]) -> bool {
+    let tail = &loss_curve[loss_curve.len().saturating_sub(8)..];
+    if diverged || tail.is_empty() {
+        return false;
+    }
+    let tail_loss = tail.iter().map(|&(_, l)| l).sum::<f32>() / tail.len() as f32;
+    tail_loss.is_finite() && tail_loss < 2.30
 }
 
 /// Evaluates top-1 accuracy of a model over a dataset with the given
@@ -391,19 +406,16 @@ fn run_training_impl(
     warm_start: Option<&mut dyn std::io::Read>,
 ) -> Result<TrainOutcome, CheckpointError> {
     let config = setting.training();
-    let arch = effective_arch(host, &setting);
     let weight_decay = effective_weight_decay(host, dataset, &config);
     let preprocessing = effective_preprocessing(host, &setting, dataset);
 
     let (train, test) = generate_data(dataset, scale, seed);
     let channel_means = Preprocessing::channel_means(&train);
 
-    // Model + optimizer. The model RNG stream matches
-    // `build_cell_model` exactly, so a checkpoint loaded against that
-    // function's output is interchangeable with a freshly trained cell.
-    let mut rng = cell_model_rng(host, &setting, seed);
-    let dims = input_dims(dataset, scale.image_size(dataset));
-    let mut model = arch.build(dims, scale.width_mult(), host.initializer(), &mut rng);
+    // Model + optimizer. The model is `build_cell_model`'s, so a
+    // checkpoint loaded against that function's output is
+    // interchangeable with a freshly trained cell.
+    let mut model = build_cell_model(host, &setting, dataset, scale, seed);
     if let Some(mut reader) = warm_start {
         dlbench_nn::load_parameters(&mut model, &mut reader)?;
     }
@@ -414,12 +426,11 @@ fn run_training_impl(
     let mut optimizer = make_optimizer(&config, weight_decay, exec_iters);
 
     // Training loop.
-    let mut batches = BatchIter::new(&train, config.batch_size, rng.fork(2));
+    let mut batches = BatchIter::new(&train, config.batch_size, batch_rng(host, &setting, seed));
     let mut loss_node = SoftmaxCrossEntropy::new();
     let mut loss_curve = Vec::new();
     let record_every = (exec_iters / 60).max(1);
     let mut diverged = false;
-    let mut first_loss = f32::NAN;
     // Epoch boundaries pace the guard hook; a diverged run keeps
     // hitting them so guards still see (and can report) the blow-up.
     let iters_per_epoch = (train.len() / config.batch_size).max(1);
@@ -450,9 +461,6 @@ fn run_training_impl(
             let logits = model.forward(&x, true);
             let (loss, _) = loss_node.forward(&logits, &labels);
             step_loss = loss;
-            if first_loss.is_nan() {
-                first_loss = loss;
-            }
             if it % record_every == 0 {
                 loss_curve.push((
                     it,
@@ -504,43 +512,20 @@ fn run_training_impl(
     let accuracy = evaluate(&mut model, &test, preprocessing, &channel_means);
     let wall_test_seconds = eval_started.elapsed_s();
 
-    // Convergence check over the tail of the curve (single-batch losses
-    // are noisy at batch size 1, so average the last several samples).
-    // The absolute criterion is "strictly better than predicting the
-    // uniform distribution" (ln 10 ≈ 2.3026): a run that ends at the
-    // uniform plateau has learned nothing.
-    let tail = &loss_curve[loss_curve.len().saturating_sub(8)..];
-    let tail_loss = if tail.is_empty() {
-        f32::NAN
-    } else {
-        tail.iter().map(|&(_, l)| l).sum::<f32>() / tail.len() as f32
-    };
-    let _ = first_loss;
-    let converged = !diverged && tail_loss.is_finite() && tail_loss < 2.30;
-
-    // Timing path: paper-scale costs.
-    let native = setting.tuned_for.native_size();
-    // The architecture geometry follows the setting's tuned-for dataset;
-    // channels follow the dataset actually trained on (for text both
-    // agree: one channel of token ids).
-    let paper_input = if setting.tuned_for.is_text() {
-        (1, native, 1)
-    } else {
-        (dataset.channels(), native, native)
-    };
-    let paper_train_batch_cost = arch.paper_cost(paper_input, config.batch_size);
-    let mut rng2 = SeededRng::new(0);
-    let paper_net = arch.build(paper_input, 1.0, host.initializer(), &mut rng2);
-    let mut fwd_only = paper_net.cost(&[TEST_BATCH, paper_input.0, paper_input.1, paper_input.2]);
-    fwd_only.bwd_flops = 0;
-    fwd_only.bwd_kernels = 0;
-    let paper_test_batch_cost = fwd_only;
+    // Timing path: paper-scale costs. The architecture geometry follows
+    // the setting's tuned-for dataset; channels follow the dataset
+    // actually trained on (for text both agree: one channel of token
+    // ids).
+    let (c, h, w) = input_dims(dataset, setting.tuned_for.native_size());
+    let paper_net = effective_arch(host, &setting).paper_network((c, h, w));
+    let paper_train_batch_cost = paper_net.cost(&[config.batch_size, c, h, w]);
+    let paper_test_batch_cost = paper_net.cost(&[TEST_BATCH, c, h, w]).forward_only();
 
     Ok(TrainOutcome {
         host,
         accuracy,
+        converged: converged(diverged, &loss_curve),
         loss_curve,
-        converged,
         executed_iterations: exec_iters,
         paper_iterations: config.max_iterations,
         paper_batch_size: config.batch_size,

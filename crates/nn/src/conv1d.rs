@@ -98,7 +98,8 @@ impl Conv1d {
         )
     }
 
-    /// The 2-D geometry this layer lowers onto for sequence length `l`.
+    /// The 2-D geometry this layer lowers onto for sequence length `l`:
+    /// the one place its output length and cost come from.
     pub fn geometry(&self, l: usize) -> Conv2dGeometry {
         Conv2dGeometry {
             in_channels: 1,
@@ -156,24 +157,12 @@ impl Layer for Conv1d {
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        vec![input_shape[0], self.filters, input_shape[2] - self.width + 1, 1]
+        let geo = self.geometry(input_shape[2]);
+        vec![input_shape[0], self.filters, geo.out_h(), geo.out_w()]
     }
 
     fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let n = input_shape[0] as u64;
-        let geo = self.geometry(input_shape[2]);
-        let plane = geo.out_plane() as u64;
-        let patch = geo.patch_len() as u64;
-        let f = self.filters as u64;
-        let fwd = n * 2 * f * patch * plane;
-        LayerCost {
-            fwd_flops: fwd,
-            bwd_flops: 2 * fwd,
-            params: f * patch + f,
-            activations: n * f * plane,
-            fwd_kernels: 3,
-            bwd_kernels: 4,
-        }
+        LayerCost::conv(input_shape[0], &self.geometry(input_shape[2]), self.filters)
     }
 }
 
@@ -257,17 +246,7 @@ impl Layer for MaxOverTime {
     }
 
     fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let n = input_shape[0] as u64;
-        let f = input_shape[1] as u64;
-        let t = input_shape[2] as u64;
-        LayerCost {
-            fwd_flops: n * f * t,
-            bwd_flops: n * f,
-            params: 0,
-            activations: n * f,
-            fwd_kernels: 1,
-            bwd_kernels: 1,
-        }
+        LayerCost::max_over_time(input_shape[0], input_shape[1], input_shape[2])
     }
 }
 

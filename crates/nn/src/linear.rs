@@ -153,16 +153,7 @@ impl Layer for Linear {
     }
 
     fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let n = input_shape[0] as u64;
-        let fwd = 2 * n * (self.in_features as u64) * (self.out_features as u64);
-        LayerCost {
-            fwd_flops: fwd,
-            bwd_flops: 2 * fwd,
-            params: (self.out_features * self.in_features + self.out_features) as u64,
-            activations: n * self.out_features as u64,
-            fwd_kernels: 2,
-            bwd_kernels: 3,
-        }
+        LayerCost::linear(input_shape[0], self.in_features, self.out_features)
     }
 }
 

@@ -107,15 +107,7 @@ impl QLinear {
 
     /// The forward cost of the fp32 `Linear` this layer replaces.
     pub(crate) fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let n = input_shape[0] as u64;
-        let (inf, outf) = (self.in_features as u64, self.out_features as u64);
-        LayerCost {
-            fwd_flops: 2 * n * inf * outf,
-            params: outf * inf + outf,
-            activations: n * outf,
-            fwd_kernels: 2,
-            ..LayerCost::default()
-        }
+        LayerCost::linear(input_shape[0], self.in_features, self.out_features).forward_only()
     }
 
     /// Quantized forward over `[n, in]` inputs.
@@ -314,17 +306,8 @@ impl QConv2d {
 
     /// The forward cost of the fp32 `Conv2d` this layer replaces.
     pub(crate) fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let n = input_shape[0] as u64;
         let geo = self.geometry(input_shape[2], input_shape[3]);
-        let (oc, patch, plane) =
-            (self.out_channels as u64, geo.patch_len() as u64, geo.out_plane() as u64);
-        LayerCost {
-            fwd_flops: 2 * n * oc * patch * plane,
-            params: oc * patch + oc,
-            activations: n * oc * plane,
-            fwd_kernels: 3,
-            ..LayerCost::default()
-        }
+        LayerCost::conv(input_shape[0], &geo, self.out_channels).forward_only()
     }
 
     /// Quantized forward over `[N, C, H, W]` inputs.
@@ -429,17 +412,9 @@ impl QEmbedding {
         vec![input_shape[0], 1, input_shape[2], self.dim]
     }
 
-    /// The forward cost of the fp32 `Embedding` this layer replaces:
-    /// one flop per copied scalar.
+    /// The forward cost of the fp32 `Embedding` this layer replaces.
     pub(crate) fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let copied = (input_shape[0] * input_shape[2] * self.dim) as u64;
-        LayerCost {
-            fwd_flops: copied,
-            params: (self.vocab * self.dim) as u64,
-            activations: copied,
-            fwd_kernels: 1,
-            ..LayerCost::default()
-        }
+        LayerCost::embedding(input_shape[0], input_shape[2], self.vocab, self.dim).forward_only()
     }
 
     /// Quantized lookup over `[N, 1, L, 1]` token ids, producing
@@ -563,21 +538,30 @@ impl QConv1dBank {
         vec![input_shape[0], self.out_features()]
     }
 
+    /// The 2-D geometry a branch of kernel `width` lowers onto for
+    /// sequence length `l`, as the fp32 `Conv1d` lowers it.
+    fn geometry(&self, width: usize, l: usize) -> Conv2dGeometry {
+        Conv2dGeometry {
+            in_channels: 1,
+            in_h: l,
+            in_w: self.embed_dim,
+            kernel_h: width,
+            kernel_w: self.embed_dim,
+            stride: 1,
+            pad: 0,
+        }
+    }
+
     /// The forward cost of the fp32 `Conv1dBank` this layer replaces:
     /// per branch, its `Conv1d` and its max-over-time pooling.
     pub(crate) fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let (n, f) = (input_shape[0] as u64, self.filters as u64);
-        self.branches.iter().fold(LayerCost::default(), |total, b| {
-            let plane = (input_shape[2] - b.width + 1) as u64;
-            let patch = (b.width * self.embed_dim) as u64;
-            total.merge(LayerCost {
-                fwd_flops: n * 2 * f * patch * plane + n * f * plane,
-                params: f * patch + f,
-                activations: n * f * plane + n * f,
-                fwd_kernels: 4,
-                ..LayerCost::default()
-            })
-        })
+        let (n, f) = (input_shape[0], self.filters);
+        let total = self.branches.iter().fold(LayerCost::default(), |total, b| {
+            let geo = self.geometry(b.width, input_shape[2]);
+            let pool = LayerCost::max_over_time(n, f, geo.out_plane());
+            total.merge(LayerCost::conv(n, &geo, f)).merge(pool)
+        });
+        total.forward_only()
     }
 
     /// Quantized forward over `[N, 1, L, E]` embedded sequences,
@@ -605,15 +589,7 @@ impl QConv1dBank {
             .iter()
             .map(|branch| {
                 assert!(l >= branch.width, "sequence shorter than kernel window");
-                let geo = Conv2dGeometry {
-                    in_channels: 1,
-                    in_h: l,
-                    in_w: e,
-                    kernel_h: branch.width,
-                    kernel_w: e,
-                    stride: 1,
-                    pad: 0,
-                };
+                let geo = self.geometry(branch.width, l);
                 (branch, geo, PackedConvWeight::pack(&geo, f, branch.weight.data()))
             })
             .collect();

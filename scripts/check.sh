@@ -20,9 +20,10 @@ cargo build --workspace --release --locked
 echo "==> cargo test"
 cargo test --workspace --locked -q
 
-echo "==> verify gate (gradcheck + goldens + guards)"
+echo "==> verify gate (gradcheck + goldens + guards + guarded CLI run)"
 cargo test -p dlbench-verify --locked -q
 cargo test -p dlbench-frameworks --locked -q verifier
+cargo run -p dlbench-cli --release --locked -q -- run table_ii --scale tiny --verify > /dev/null
 
 echo "==> serve smoke (ephemeral port, concurrent predicts, metrics, drain)"
 cargo test -p dlbench-serve --test smoke --locked -q
