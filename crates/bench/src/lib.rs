@@ -80,8 +80,11 @@ impl BenchArgs {
         parsed
     }
 
-    /// The process's own arguments.
+    /// The process's own arguments. Every target calls this first, so a
+    /// CPU without the features the build was compiled for ends the
+    /// process here with exit code 1 and the reason, not on SIGILL.
     pub fn from_env() -> Self {
+        dlbench_tensor::target::exit_if_cpu_lacks_target_features();
         Self::parse(std::env::args().skip(1))
     }
 
@@ -206,9 +209,11 @@ impl Harness {
     }
 }
 
-/// The `BENCH_<name>.json` document for `records`.
+/// The `BENCH_<name>.json` document for `records`, with the target
+/// features the timings were compiled for.
 fn render_json(records: &[Record]) -> String {
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
+    let features = dlbench_tensor::target::compiled_target_features().join(",");
+    let mut json = format!("{{\n  \"target_features\": \"{features}\",\n  \"benchmarks\": [\n");
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}, \"gflops\": {:.4}}}{}\n",
@@ -353,9 +358,13 @@ mod tests {
     #[test]
     fn rendered_json_loads_back_through_the_baseline_loader() {
         let records = vec![record("gemm/128x128x128", 171_993.5), record("im2col/x", 2.0)];
+        let rendered = render_json(&records);
+        let features = dlbench_tensor::target::compiled_target_features().join(",");
+        let doc = dlbench_json::parse(&rendered).unwrap();
+        assert_eq!(doc.get("target_features").and_then(|v| v.as_str()), Some(features.as_str()));
         let path = std::env::temp_dir()
             .join(format!("dlbench-bench-roundtrip-{}.json", std::process::id()));
-        std::fs::write(&path, render_json(&records)).unwrap();
+        std::fs::write(&path, rendered).unwrap();
         let loaded = load_baseline(&path);
         let _ = std::fs::remove_file(&path);
         let expected: BTreeMap<String, f64> =

@@ -144,13 +144,16 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
             .collect::<Result<_, _>>()?
     };
     let out_dir = args.get("out").unwrap_or("target/dlbench-reports");
+    let target_features = dlbench_tensor::target::compiled_target_features().join(",");
     for id in ids {
         let mut report = id.run(&mut runner);
-        // Execution provenance: thread count affects wall-clock only,
-        // but is recorded so report consumers can see how a run was
-        // produced. The verify flag travels with the report so readers
-        // know whether the epoch-boundary invariant guard was active.
+        // Execution provenance: thread count and target features affect
+        // wall-clock only, but are recorded so report consumers can see
+        // how a run was produced. The verify flag travels with the report
+        // so readers know whether the epoch-boundary invariant guard was
+        // active.
         report.facts.push(("threads".into(), threads.to_string()));
+        report.facts.push(("target_features".into(), target_features.clone()));
         report.facts.push(("verify".into(), verify.to_string()));
         for v in runner.violations() {
             report.notes.push(format!("verify: {v}"));

@@ -154,6 +154,7 @@ VERIFICATION:
 ";
 
 fn main() -> ExitCode {
+    dlbench_tensor::target::exit_if_cpu_lacks_target_features();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match args::parse(&raw) {
         Ok(p) => p,

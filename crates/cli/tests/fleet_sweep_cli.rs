@@ -1,9 +1,10 @@
 //! The CLI sweeps: `dlbench fleet --sweep` and `dlbench loadgen`
 //! refuse arrival rates, request counts, batch sizes and p99 targets the
 //! simulator or the load generator cannot run (or no request can meet),
-//! and `serve` and the live `fleet` a zero batch size or queue, with a
-//! diagnostic and exit code 1, never a panic or a hang; and
-//! `loadgen --sweep` and `run --json` write the documents they own.
+//! `serve` and the live `fleet` a zero batch size or queue, and
+//! `dist-train` and the live `fleet` a text dataset, with a diagnostic
+//! and exit code 1, never a panic or a hang; and `loadgen --sweep` and
+//! `run --json` write the documents they own.
 
 use dlbench_json::JsonValue;
 use std::io::Read;
@@ -58,7 +59,11 @@ fn bad_sweep_rates_and_request_counts_exit_1_without_a_panic() {
     // a port bound (the batcher would silently run it as 1).
     let serve: &[&str] = &["serve", "--port", "0"];
     let live_fleet: &[&str] = &["fleet"];
-    let cases: [(&[&str], &[&str], &str); 22] = [
+    // The data-parallel driver refuses a text dataset before it shards.
+    let dist: &[&str] = &["dist-train", "--framework", "torch", "--max-steps", "2"];
+    let imdb_fleet: &[&str] =
+        &["fleet", "--framework", "torch", "--replicas", "2", "--workers", "2", "--max-steps", "2"];
+    let cases: [(&[&str], &[&str], &str); 24] = [
         (fleet, &["--rates", "0"], "rate `0` must be positive"),
         (fleet, &["--rates", "1000,-5"], "rate `-5` must be positive"),
         (fleet, &["--rates", "nan"], "rate `nan` must be positive"),
@@ -81,6 +86,8 @@ fn bad_sweep_rates_and_request_counts_exit_1_without_a_panic() {
         (serve, &["--max-batch", "0"], "--max-batch must be positive"),
         (serve, &["--queue", "0"], "--queue must be positive"),
         (live_fleet, &["--max-batch", "0"], "--max-batch must be positive"),
+        (dist, &["--dataset", "imdb"], "shards image batches only"),
+        (imdb_fleet, &["--dataset", "imdb"], "shards image batches only"),
     ];
     for (command, flags, message) in cases {
         let args = [command, &["--out", out.to_str().unwrap()], flags].concat();
@@ -126,9 +133,11 @@ fn run_json_appends_threads_and_verify_to_the_pinned_report() {
     );
 
     let facts = doc["facts"].as_array().expect("facts array");
-    let (pinned, appended) = facts.split_at(facts.len().saturating_sub(2));
+    let (pinned, appended) = facts.split_at(facts.len().saturating_sub(3));
     let keys: Vec<&str> = appended.iter().filter_map(|f| f.as_array()?[0].as_str()).collect();
-    assert_eq!(keys, ["threads", "verify"]);
+    assert_eq!(keys, ["threads", "target_features", "verify"]);
+    let features = dlbench_tensor::target::compiled_target_features().join(",");
+    assert_eq!(appended[1].as_array().unwrap()[1].as_str(), Some(features.as_str()));
     assert_eq!(pinned, golden["facts"].as_array().unwrap());
     for key in ["id", "title", "rows", "series", "notes"] {
         assert_eq!(doc[key], golden[key], "{key}");

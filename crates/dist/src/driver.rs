@@ -109,10 +109,11 @@ struct DriveResult {
 
 /// Runs data-parallel distributed training for one cell.
 ///
-/// Fails (with a message suitable for the CLI) on an empty world, when
-/// every worker dies, or when the final checkpoint cannot be
-/// retrieved; divergence is *not* an error — it surfaces exactly as in
-/// the single-node trainer, as a flat loss curve and chance accuracy.
+/// Fails (with a message suitable for the CLI) on an empty world or a
+/// text dataset, when every worker dies, or when the final checkpoint
+/// cannot be retrieved; divergence is *not* an error — it surfaces
+/// exactly as in the single-node trainer, as a flat loss curve and
+/// chance accuracy.
 pub fn run_dist_training(
     host: FrameworkKind,
     setting: DefaultSetting,
@@ -148,6 +149,13 @@ pub fn run_dist_training_observed(
 ) -> Result<DistOutcome, String> {
     if dcfg.workers == 0 {
         return Err("world size must be at least 1".to_string());
+    }
+    if dataset.is_text() {
+        return Err(format!(
+            "dataset {} cannot be trained data-parallel: the data-parallel driver shards \
+             image batches only; pick mnist or cifar10",
+            dataset.name()
+        ));
     }
     let config = setting.training();
     let weight_decay = trainer::effective_weight_decay(host, dataset, &config);

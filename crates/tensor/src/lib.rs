@@ -39,6 +39,7 @@ pub mod par;
 mod qlinalg;
 mod rng;
 mod shape;
+pub mod target;
 mod tensor;
 
 pub use error::{Result, TensorError};

@@ -14,6 +14,15 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --locked -- -D warnings
 
+echo "==> no hand-written fused multiply-add under crates/ (no bit may depend on the target)"
+# Results equal across targets because Rust never contracts a * b + c
+# into one rounding; an explicit mul_add would round once, move bits
+# against the goldens, and be a libm call on baseline x86-64.
+if grep -rn 'mul_add' crates/; then
+    echo "mul_add under crates/: write a * b + c (DESIGN.md §12)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --workspace --release --locked
 
