@@ -122,7 +122,10 @@ pub fn fgsm_success_rates(
 /// (at least one more forward per sample, plus the gradient attacks'
 /// backward passes or the noise baseline's draws) runs only for the
 /// correctly classified samples instead of being thrown away
-/// afterwards for the rest.
+/// afterwards for the rest. `craft` runs only where that forward's
+/// prediction equals the label, so the label it gets is also the clean
+/// prediction: an attack that needs one does not forward the sample
+/// again.
 pub(crate) fn campaign(
     net: &mut Network,
     inputs: &Tensor,

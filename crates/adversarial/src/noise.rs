@@ -24,17 +24,18 @@ pub struct NoiseConfig {
     pub clamp: Option<(f32, f32)>,
 }
 
-/// Perturbs one sample (`x` is `[1, …]`) at its input with random
-/// noise and reports the prediction flip as the gradient attacks do:
-/// success is a changed prediction, not disagreement with a label.
+/// Perturbs one sample (`x` is `[1, …]`, `original_pred` the model's
+/// prediction on it) at its input with random noise and reports the
+/// prediction flip as the gradient attacks do: success is a changed
+/// prediction, not disagreement with a label.
 pub fn noise_attack(
     net: &mut Network,
     x: &Tensor,
+    original_pred: usize,
     config: &NoiseConfig,
     rng: &mut SeededRng,
 ) -> FgsmReport {
     assert_eq!(x.shape()[0], 1, "noise_attack operates on single samples");
-    let original_pred = net.forward(x, false).argmax_rows()[0];
     let mut adversarial = x.clone();
     for v in adversarial.data_mut() {
         let delta = if config.sign_noise {
@@ -72,7 +73,9 @@ pub fn noise_success_rates(
     config: &NoiseConfig,
     rng: &mut SeededRng,
 ) -> ConfusionRates {
-    campaign(net, images, labels, num_classes, |net, x, _| noise_attack(net, x, config, rng))
+    campaign(net, images, labels, num_classes, |net, x, label| {
+        noise_attack(net, x, label, config, rng)
+    })
 }
 
 #[cfg(test)]
@@ -105,12 +108,14 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 6], 0.3, 0.7, &mut rng);
         let config = NoiseConfig { epsilon: 0.1, sign_noise: false, clamp: None };
         let before = x.clone();
-        let report = noise_attack(&mut net, &x, &config, &mut rng);
+        let pred = net.forward(&x, false).argmax_rows()[0];
+        let report = noise_attack(&mut net, &x, pred, &config, &mut rng);
         assert_eq!(x, before, "input must not be mutated");
         assert_eq!(report.split, 0, "noise perturbs the input");
         for (a, b) in report.adversarial.data().iter().zip(x.data()) {
             assert!((a - b).abs() <= 0.1 + 1e-6);
         }
+        assert_eq!(report.original_pred, pred);
         assert_eq!(report.success, report.adversarial_pred != report.original_pred);
     }
 

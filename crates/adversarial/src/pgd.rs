@@ -40,19 +40,21 @@ impl PgdConfig {
     }
 }
 
-/// Crafts one untargeted PGD example for a single sample, perturbing
-/// at the same layer as FGSM (see [`FgsmReport::split`]).
+/// Crafts one untargeted PGD example for a single sample (`x` is
+/// `[1, …]`, `label` its true class, `original_pred` the model's
+/// prediction on it), perturbing at the same layer as FGSM (see
+/// [`FgsmReport::split`]).
 pub fn pgd(
     net: &mut Network,
     x: &Tensor,
     label: usize,
+    original_pred: usize,
     config: &PgdConfig,
     rng: &mut SeededRng,
 ) -> FgsmReport {
     assert_eq!(x.shape()[0], 1, "pgd operates on single samples");
     let split = perturbation_split(net);
     let clean = net.forward_prefix(split, x, false);
-    let original_pred = net.forward_from(split, &clean, false).argmax_rows()[0];
 
     let mut adv = clean.clone();
     if config.random_start {
@@ -94,7 +96,9 @@ pub fn pgd_success_rates(
     config: &PgdConfig,
     rng: &mut SeededRng,
 ) -> ConfusionRates {
-    campaign(net, inputs, labels, num_classes, |net, x, label| pgd(net, x, label, config, rng))
+    campaign(net, inputs, labels, num_classes, |net, x, label| {
+        pgd(net, x, label, label, config, rng)
+    })
 }
 
 #[cfg(test)]
@@ -118,7 +122,8 @@ mod tests {
         let mut net = toy_net(&mut rng);
         let x = Tensor::rand_uniform(&[1, 6], 0.2, 0.8, &mut rng);
         let config = PgdConfig { clamp: None, ..PgdConfig::standard(0.1) };
-        let report = pgd(&mut net, &x, 0, &config, &mut rng);
+        let pred = net.forward(&x, false).argmax_rows()[0];
+        let report = pgd(&mut net, &x, 0, pred, &config, &mut rng);
         for (a, b) in report.adversarial.data().iter().zip(x.data()) {
             assert!((a - b).abs() <= 0.1 + 1e-5);
         }
@@ -137,7 +142,7 @@ mod tests {
             let clean = net.forward_prefix(1, &x, false);
             let f = fgsm(&mut net, &x, label, &FgsmConfig { epsilon: eps, clamp: None });
             let cfg = PgdConfig { random_start: false, clamp: None, ..PgdConfig::standard(eps) };
-            let p = pgd(&mut net, &x, label, &cfg, &mut rng);
+            let p = pgd(&mut net, &x, label, label, &cfg, &mut rng);
             assert_eq!(p.split, 1);
             for (a, b) in p.adversarial.data().iter().zip(clean.data()) {
                 assert!((a - b).abs() <= eps + 1e-5);
@@ -153,7 +158,8 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let mut net = toy_net(&mut rng);
         let x = Tensor::rand_uniform(&[1, 6], 0.0, 1.0, &mut rng);
-        let report = pgd(&mut net, &x, 1, &PgdConfig::standard(0.5), &mut rng);
+        let pred = net.forward(&x, false).argmax_rows()[0];
+        let report = pgd(&mut net, &x, 1, pred, &PgdConfig::standard(0.5), &mut rng);
         assert!(report.adversarial.min() >= 0.0);
         assert!(report.adversarial.max() <= 1.0);
     }

@@ -68,7 +68,8 @@ proptest! {
         let mut net = mlp(inputs, 4, &mut rng);
         let x = Tensor::rand_uniform(&[1, inputs], 0.0, 1.0, &mut rng);
         let config = PgdConfig::standard(eps);
-        let report = pgd(&mut net, &x, 1, &config, &mut rng);
+        let pred = net.forward(&x, false).argmax_rows()[0];
+        let report = pgd(&mut net, &x, 1, pred, &config, &mut rng);
         for (a, b) in report.adversarial.data().iter().zip(x.data()) {
             prop_assert!((a - b).abs() <= eps + 1e-6);
         }

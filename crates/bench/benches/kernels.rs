@@ -4,9 +4,10 @@
 //! binary itself enforces the regression gate: measures the three GEMM
 //! variants, the int8 inference kernels (`gemm_i8`, `quantize_i8`,
 //! `dequantize_i8`), `im2col`, the convolution forward of every
-//! personality conv layer in fp32 and int8 and its fp32 backward, and
-//! the text-workload layers (embedding lookup, 3/4/5-width conv1d banks
-//! forward in fp32 and int8 and backward in fp32), writes
+//! personality conv layer in fp32 and int8 and its fp32 backward, the
+//! text-workload layers (embedding lookup, 3/4/5-width conv1d banks
+//! forward in fp32 and int8 and backward in fp32), and the conv input
+//! gradient at Tiny training shapes and batches, writes
 //! `target/dlbench-reports/BENCH_kernels.json`, and — when
 //! `DLBENCH_PERF_BASELINE` points at a committed baseline JSON — exits
 //! non-zero if any kernel runs >15% slower than the baseline
@@ -193,6 +194,48 @@ fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
     }
 }
 
+/// The conv input gradient at Tiny training shapes (12×12 inputs,
+/// quarter widths), at each own-default cell's training batch, through
+/// `Layer::input_grad`. Training runs it for every conv but the first,
+/// whose input gradient nobody reads, so those are the rows. Batches of
+/// 8 or more reach `conv_backward_data`'s sample-group kernel.
+fn bench_tiny_conv_input_grads(h: &mut Harness, rng: &mut SeededRng) {
+    use dlbench_data::DatasetKind;
+    use dlbench_frameworks::{trainer, training_defaults, Scale};
+    for fw in FrameworkKind::ALL {
+        for ds in [DatasetKind::Mnist, DatasetKind::Cifar10] {
+            let spec = arch_defaults(fw, ds);
+            let batch = training_defaults(fw, ds).batch_size;
+            let (c, hw, w) = trainer::input_dims(ds, Scale::Tiny.image_size(ds));
+            let mut net =
+                spec.build((c, hw, w), Scale::Tiny.width_mult(), Initializer::Xavier, rng);
+            let mut shape = vec![batch, c, hw, w];
+            let mut convs = 0;
+            for layer in net.layers_mut() {
+                let out_shape = layer.output_shape(&shape);
+                if let Some(conv) = layer.as_any().downcast_ref::<Conv2d>() {
+                    convs += 1;
+                    if convs > 1 {
+                        let geo = conv.geometry(shape[2], shape[3]);
+                        let flops =
+                            (batch * 2 * conv.out_channels() * geo.patch_len() * geo.out_plane())
+                                as u64;
+                        let x = Tensor::randn(&shape, 0.0, 1.0, rng);
+                        let g = Tensor::randn(&out_shape, 0.0, 1.0, rng);
+                        layer.forward(&x, true);
+                        h.bench(
+                            format!("conv_bwd_data/tiny/{}/conv{convs}", spec.name),
+                            flops,
+                            || layer.input_grad(&g),
+                        );
+                    }
+                }
+                shape = out_shape;
+            }
+        }
+    }
+}
+
 /// The text-workload layers at their personality shapes (batch 2,
 /// native 256-token sequences): the embedding lookup is pure data
 /// movement (gather), the 3/4/5-width conv bank rides the fused
@@ -235,6 +278,7 @@ fn run_suite(h: &mut Harness, rng: &mut SeededRng) {
     bench_im2col(h, rng);
     bench_personality_convs(h, rng);
     bench_text_layers(h, rng);
+    bench_tiny_conv_input_grads(h, rng);
 }
 
 fn main() {

@@ -107,7 +107,9 @@ fn run_cell(
         let r = fgsm(&mut net, &x, label, &fgsm_cfg);
         fgsm_fp32 += usize::from(r.success);
         fgsm_int8 += usize::from(transferred(&mut qnet, &r.adversarial));
-        let r = pgd(&mut net, &x, label, &pgd_cfg, &mut rng);
+        // The pool holds correctly classified samples only: the clean
+        // prediction is the label.
+        let r = pgd(&mut net, &x, label, label, &pgd_cfg, &mut rng);
         pgd_fp32 += usize::from(r.success);
         pgd_int8 += usize::from(transferred(&mut qnet, &r.adversarial));
     }

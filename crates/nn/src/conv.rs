@@ -302,24 +302,26 @@ impl Grads {
     }
 }
 
-/// Convolution backward over a batch through the fused kernels, in one
-/// pass over the samples: returns the input gradient when `grads` asks
-/// for it, and adds the weight and bias gradients into
-/// `grad_weight`/`grad_bias` when it asks for those. Shared by
-/// [`Conv2d`] and [`crate::Conv1d`].
+/// Convolution backward over a batch through the fused kernels: returns
+/// the input gradient when `grads` asks for it, and adds the weight and
+/// bias gradients into `grad_weight`/`grad_bias` when it asks for
+/// those. Shared by [`Conv2d`] and [`crate::Conv1d`].
 ///
 /// Input gradients of different samples are disjoint, so the batch
-/// splits over samples directly. Weight/bias gradients accumulate
-/// *across* samples: each sample's partial is formed from zero in a
-/// staging row and the rows are added in ascending sample order — the
-/// same additions, in the same order, at any thread count, hence
-/// bit-identical. (The serial path stages too: folding sample `s`
-/// straight into `grad_weight` would interleave its terms with the
-/// running total instead of adding one per-sample partial.) A gradient
-/// that is not asked for costs nothing: no `conv_backward_data` call
-/// without the input gradient, no `conv_backward_filter`, bias sums or
-/// staging rows without the parameter gradients; each one computed has
-/// the same bits as in [`Grads::Both`].
+/// splits over samples directly, and each run of samples (the whole
+/// batch on the serial path, a worker's chunk on the parallel one) is
+/// one `conv_backward_data` call, which computes groups of samples
+/// together. Weight/bias gradients accumulate *across* samples: each
+/// sample's partial is formed from zero in a staging row and the rows
+/// are added in ascending sample order — the same additions, in the same
+/// order, at any thread count, hence bit-identical. (The serial path
+/// stages too: folding sample `s` straight into `grad_weight` would
+/// interleave its terms with the running total instead of adding one
+/// per-sample partial.) A gradient that is not asked for costs nothing:
+/// no `conv_backward_data` call without the input gradient, no
+/// `conv_backward_filter`, bias sums or staging rows without the
+/// parameter gradients; each one computed has the same bits as in
+/// [`Grads::Both`].
 pub(crate) fn conv_backward(
     geo: &Conv2dGeometry,
     weight: &Tensor,
@@ -336,30 +338,26 @@ pub(crate) fn conv_backward(
     let backward = ConvBackward::new(geo, out_channels, weight.data());
     let (in_data, gout) = (input.data(), grad_out.data());
     // One staging row per sample: the weight partial, then the bias's.
-    let row_len = if grads.params() { out_channels * patch + out_channels } else { 0 };
-    // Samples `first..` of a run: each one's input gradient into its
-    // row of `gin` and its parameter partial into its row of `rows`.
-    // The buffer of a gradient not asked for is empty.
-    let samples = |first: usize, gin: &mut [f32], rows: &mut [f32]| {
-        let count = if grads.input() { gin.len() / sample_in } else { rows.len() / row_len };
-        for si in 0..count {
+    let row_len = out_channels * patch + out_channels;
+    // The input gradients of samples `first..`, one row of `gin` each.
+    let data = |first: usize, gin: &mut [f32]| {
+        let count = gin.len() / sample_in;
+        conv_backward_data(&backward, &gout[first * sample_out..][..count * sample_out], gin);
+    };
+    // The parameter partials of samples `first..`, one row of `rows` each.
+    let params = |first: usize, rows: &mut [f32]| {
+        for (si, row) in rows.chunks_exact_mut(row_len).enumerate() {
             let s = first + si;
             let gout_s = &gout[s * sample_out..(s + 1) * sample_out];
-            if grads.input() {
-                conv_backward_data(&backward, gout_s, &mut gin[si * sample_in..][..sample_in]);
-            }
-            if grads.params() {
-                let row = &mut rows[si * row_len..][..row_len];
-                let (w_part, b_part) = row.split_at_mut(out_channels * patch);
-                conv_backward_filter(
-                    &backward,
-                    &in_data[s * sample_in..(s + 1) * sample_in],
-                    gout_s,
-                    w_part,
-                );
-                for (b, g) in b_part.iter_mut().zip(gout_s.chunks(plane)) {
-                    *b = g.iter().sum::<f32>();
-                }
+            let (w_part, b_part) = row.split_at_mut(out_channels * patch);
+            conv_backward_filter(
+                &backward,
+                &in_data[s * sample_in..(s + 1) * sample_in],
+                gout_s,
+                w_part,
+            );
+            for (b, g) in b_part.iter_mut().zip(gout_s.chunks(plane)) {
+                *b = g.iter().sum::<f32>();
             }
         }
     };
@@ -378,28 +376,29 @@ pub(crate) fn conv_backward(
         || par::is_worker()
         || par::threads() == 1
     {
-        let mut row = arena::take(row_len);
-        for s in 0..n {
-            let gin_s = gin.get_mut(s * sample_in..(s + 1) * sample_in).unwrap_or_default();
-            samples(s, gin_s, &mut row);
-            if grads.params() {
+        if grads.input() {
+            data(0, gin);
+        }
+        if grads.params() {
+            let mut row = arena::take(row_len);
+            for s in 0..n {
+                params(s, &mut row);
                 add_partial(&row);
             }
         }
     } else {
-        let mut rows = arena::take(n * row_len);
+        let mut rows = arena::take(if grads.params() { n * row_len } else { 0 });
         match grads {
-            Grads::Both => par::par_row_chunks2_mut(gin, sample_in, &mut rows, row_len, samples),
-            Grads::Input => {
-                par::par_row_chunks_mut(gin, sample_in, |first, gin| samples(first, gin, &mut []))
+            Grads::Both => {
+                par::par_row_chunks2_mut(gin, sample_in, &mut rows, row_len, |first, gin, rows| {
+                    data(first, gin);
+                    params(first, rows);
+                })
             }
-            Grads::Params => par::par_row_chunks_mut(&mut rows, row_len, |first, rows| {
-                samples(first, &mut [], rows)
-            }),
+            Grads::Input => par::par_row_chunks_mut(gin, sample_in, data),
+            Grads::Params => par::par_row_chunks_mut(&mut rows, row_len, params),
         }
-        if grads.params() {
-            rows.chunks(row_len).for_each(&mut add_partial);
-        }
+        rows.chunks(row_len).for_each(&mut add_partial);
     }
     grad_in
 }

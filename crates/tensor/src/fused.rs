@@ -24,7 +24,8 @@
 //! | kernel | tile rows (`MR`, in place) | tile lanes (`NR`, packed) | depth |
 //! |---|---|---|---|
 //! | forward | output sites `j` (frame) | output channels (`Wᵀ`) | taps `r` |
-//! | input gradient | taps `r` (`W`) | output sites `j` (`grad_out`) | output channels |
+//! | input gradient, `NR` samples | taps `r` (`W`) | `NR` samples at one site `j` (`grad_out`) | output channels |
+//! | input gradient, one sample | taps `r` (`W`) | output sites `j` (`grad_out`) | output channels |
 //! | weight gradient | taps `r` (frame) | output channels (`grad_outᵀ`) | output sites `j` |
 //!
 //! **Transparency.** Every kernel inherits the determinism contract of
@@ -42,7 +43,10 @@
 //!   and site offsets both ascend, so within a band a later tap meets a
 //!   pixel at an *earlier* site: the band's site tiles are therefore
 //!   added last to first, each tile's taps in order, which keeps every
-//!   pixel's additions in ascending tap order.
+//!   pixel's additions in ascending tap order. A group of `NR` samples
+//!   shares one frame, each pixel an `NR`-lane slot of the group's
+//!   samples: its tiles are single sites, taken in the same order, so
+//!   each (pixel, sample) receives the same terms in the same order.
 //! - Weight gradient: `Σ_j g[o, j]·x[r, j]` over ascending sites,
 //!   formed from zero; callers add one per-sample partial at a time.
 //!
@@ -94,10 +98,28 @@ impl PatchIndex {
         Self { geo: *geo, frame_h, frame_w, tap, site }
     }
 
+    /// Elements of one sample's image (`[C, H, W]`).
+    fn image_len(&self) -> usize {
+        self.geo.in_channels * self.geo.in_h * self.geo.in_w
+    }
+
+    /// Elements of one sample's frame.
+    fn frame_len(&self) -> usize {
+        self.geo.in_channels * self.frame_h * self.frame_w
+    }
+
     /// A frame of this geometry with every element set to `border`.
     fn frame(&self, border: f32) -> ArenaBuf {
-        let mut frame = arena::take(self.geo.in_channels * self.frame_h * self.frame_w);
+        let mut frame = arena::take(self.frame_len());
         frame.fill(border);
+        frame
+    }
+
+    /// A zeroed frame of `NR` interleaved samples: element
+    /// `pixel·NR + lane` is pixel `pixel` of lane `lane`'s frame.
+    fn lane_frame(&self) -> ArenaBuf {
+        let mut frame = arena::take(self.frame_len() * NR);
+        frame.fill(0.0);
         frame
     }
 
@@ -112,7 +134,7 @@ impl PatchIndex {
     /// Copies `image` (`[C, H, W]`) into the frame's interior, one image
     /// row at a time; the border keeps its values.
     fn load<T: Copy + Into<f32>>(&self, image: &[T], frame: &mut [f32]) {
-        debug_assert_eq!(image.len(), self.geo.in_channels * self.geo.in_h * self.geo.in_w);
+        debug_assert_eq!(image.len(), self.image_len());
         for (src, at) in image.chunks_exact(self.geo.in_w).zip(self.image_rows()) {
             for (d, &s) in frame[at..at + src.len()].iter_mut().zip(src) {
                 *d = s.into();
@@ -123,9 +145,26 @@ impl PatchIndex {
     /// Copies the frame's interior out into `image` (`[C, H, W]`),
     /// overwriting it; the border is dropped.
     fn store(&self, frame: &[f32], image: &mut [f32]) {
-        debug_assert_eq!(image.len(), self.geo.in_channels * self.geo.in_h * self.geo.in_w);
+        debug_assert_eq!(image.len(), self.image_len());
         for (dst, at) in image.chunks_exact_mut(self.geo.in_w).zip(self.image_rows()) {
             dst.copy_from_slice(&frame[at..at + dst.len()]);
+        }
+    }
+
+    /// Copies the interior of an `NR`-lane frame out into `NR`
+    /// consecutive images (`[NR, C, H, W]`), lane `l` into image `l`,
+    /// overwriting them; the border is dropped.
+    fn store_lanes(&self, frame: &[f32], images: &mut [f32]) {
+        let (w, image_len) = (self.geo.in_w, self.image_len());
+        debug_assert_eq!(images.len(), NR * image_len);
+        let (slots, _) = frame.as_chunks::<NR>();
+        for (row, at) in self.image_rows().enumerate() {
+            let src = &slots[at..at + w];
+            for (lane, image) in images.chunks_exact_mut(image_len).enumerate() {
+                for (d, slot) in image[row * w..(row + 1) * w].iter_mut().zip(src) {
+                    *d = slot[lane];
+                }
+            }
         }
     }
 }
@@ -316,9 +355,9 @@ impl<'w> ConvBackward<'w> {
     }
 }
 
-/// Fused input gradient of **one** sample: writes
-/// `col2im(Wᵀ @ grad_out)` into `grad_in` (`[C, H, W]`, overwritten),
-/// where `grad_out` is `[out_channels, out_h·out_w]`.
+/// Fused input gradient of a run of samples: writes each sample's
+/// `col2im(Wᵀ @ grad_out)` into its image of `grad_in` (`[N, C, H, W]`,
+/// overwritten), where `grad_out` is `[N, out_channels, out_h·out_w]`.
 ///
 /// `Wᵀ @ grad_out` is formed one band of `MR` patch rows at a time and
 /// each finished tile is added straight into a padded gradient frame,
@@ -326,15 +365,82 @@ impl<'w> ConvBackward<'w> {
 /// `grad_in` element is the same chain as zeroing it and running
 /// `gemm_at_b` into a zeroed matrix + [`crate::col2im`].
 ///
+/// Each full group of `NR` samples runs as one: a tile's lanes are the
+/// group's samples at one output site, and its rows add into a frame of
+/// the group's `NR` interleaved images with one `NR`-wide add each. The
+/// samples left over (fewer than `NR`) run one at a time, a tile's lanes
+/// being `NR` output sites. Both produce the same bits. One Kernel span
+/// per group and one per leftover sample carry the FLOPs of the samples
+/// they cover.
+///
 /// # Panics
 ///
 /// Panics (debug assertions) on slice lengths inconsistent with the
 /// backward's geometry.
 pub fn conv_backward_data(backward: &ConvBackward, grad_out: &[f32], grad_in: &mut [f32]) {
-    let _span = span_flops(Category::Kernel, "conv_bwd_data", backward.flops());
+    let index = &backward.index;
+    let (sample_in, sample_out) = (index.image_len(), backward.out_channels * index.site.len());
+    let n = grad_in.len() / sample_in;
+    debug_assert_eq!(grad_in.len(), n * sample_in);
+    debug_assert_eq!(grad_out.len(), n * sample_out);
+    let grouped = n / NR * NR;
+    let (group_in, rest_in) = grad_in.split_at_mut(grouped * sample_in);
+    let (group_out, rest_out) = grad_out.split_at(grouped * sample_out);
+    for (gout, gin) in
+        group_out.chunks_exact(NR * sample_out).zip(group_in.chunks_exact_mut(NR * sample_in))
+    {
+        let _span = span_flops(Category::Kernel, "conv_bwd_data", NR as u64 * backward.flops());
+        backward_data_group(backward, gout, gin);
+    }
+    for (gout, gin) in rest_out.chunks_exact(sample_out).zip(rest_in.chunks_exact_mut(sample_in)) {
+        let _span = span_flops(Category::Kernel, "conv_bwd_data", backward.flops());
+        backward_data_sample(backward, gout, gin);
+    }
+}
+
+/// The input gradient of `NR` samples at once: tile rows are `MR` taps
+/// of `W`, lanes the group's samples at one output site, depth the
+/// output channels. Bands of taps go in ascending order and, within a
+/// band, sites last to first, so every (pixel, sample) of the
+/// interleaved frame receives its terms in ascending tap order, as in
+/// [`backward_data_sample`].
+fn backward_data_group(backward: &ConvBackward, grad_out: &[f32], grad_in: &mut [f32]) {
     let index = &backward.index;
     let (oc, patch, plane) = (backward.out_channels, index.tap.len(), index.site.len());
-    debug_assert_eq!(grad_out.len(), oc * plane);
+    // One `[out_channel][sample]` panel per site.
+    let mut panels = arena::take(plane * oc * NR);
+    for (lane, sample) in grad_out.chunks_exact(oc * plane).enumerate() {
+        for (o, channel) in sample.chunks_exact(plane).enumerate() {
+            for (j, &g) in channel.iter().enumerate() {
+                panels[(j * oc + o) * NR + lane] = g;
+            }
+        }
+    }
+    let mut frame = index.lane_frame();
+    let (slots, _) = frame.as_chunks_mut::<NR>();
+    for r0 in (0..patch).step_by(MR) {
+        let rows = std::array::from_fn(|ii| (r0 + ii).min(patch - 1));
+        let taps = &index.tap[r0..patch.min(r0 + MR)];
+        // A pixel meets a later tap at an earlier site (see the module
+        // docs): sites last to first keep its taps in order.
+        for (&site, panel) in index.site.iter().zip(panels.chunks_exact(oc * NR)).rev() {
+            let mut acc: Tile = [[0.0; NR]; MR];
+            gathered_kernel(backward.weight, rows, &backward.channel_rows, panel, &mut acc);
+            for (&tap, acc_row) in taps.iter().zip(&acc) {
+                for (d, &lane) in slots[tap + site].iter_mut().zip(acc_row) {
+                    *d += lane;
+                }
+            }
+        }
+    }
+    index.store_lanes(&frame, grad_in);
+}
+
+/// The input gradient of one sample: tile rows are `MR` taps of `W`,
+/// lanes `NR` output sites, depth the output channels.
+fn backward_data_sample(backward: &ConvBackward, grad_out: &[f32], grad_in: &mut [f32]) {
+    let index = &backward.index;
+    let (oc, patch, plane) = (backward.out_channels, index.tap.len(), index.site.len());
     let mut panels = arena::take(plane.div_ceil(NR) * NR * oc);
     linalg::pack_b_block(0, oc, plane, grad_out, &mut panels);
     let mut frame = index.frame(0.0);
@@ -487,6 +593,30 @@ mod tests {
             let mut gw = vec![f32::NAN; oc * patch];
             conv_backward_filter(&backward, x.data(), gout.data(), &mut gw);
             assert_eq!(bits(&gw), bits(&want_gw), "weight gradient {g:?}");
+        }
+    }
+
+    /// A run of `NR + 3` samples takes the lane kernel for the first
+    /// `NR` and the per-sample kernel for the rest; every sample's input
+    /// gradient equals the per-sample kernel's on that sample alone.
+    #[test]
+    fn lane_kernel_matches_per_sample_kernel_bitwise() {
+        let mut rng = SeededRng::new(24);
+        let n = NR + 3;
+        for (g, oc) in GEOMETRIES {
+            let (sample_in, sample_out) = (g.in_channels * g.in_h * g.in_w, oc * g.out_plane());
+            let w = Tensor::randn(&[oc, g.patch_len()], 0.0, 1.0, &mut rng);
+            let gout = Tensor::randn(&[n, sample_out], 0.0, 1.0, &mut rng);
+            let backward = ConvBackward::new(&g, oc, w.data());
+            let mut gin = vec![f32::NAN; n * sample_in];
+            conv_backward_data(&backward, gout.data(), &mut gin);
+            for (s, (got, gout_s)) in
+                gin.chunks_exact(sample_in).zip(gout.data().chunks_exact(sample_out)).enumerate()
+            {
+                let mut want = vec![f32::NAN; sample_in];
+                conv_backward_data(&backward, gout_s, &mut want);
+                assert_eq!(bits(got), bits(&want), "sample {s} of {g:?}");
+            }
         }
     }
 

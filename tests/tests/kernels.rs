@@ -20,6 +20,7 @@ use dlbench_tensor::{
     col2im, gemm, gemm_a_bt, gemm_at_b, gemm_i8, im2col, par, quantize_i8, Conv2dGeometry,
     SeededRng, Tensor,
 };
+use dlbench_trace::{EventKind, TraceConfig};
 use std::sync::Mutex;
 
 /// Serializes tests that mutate the global worker count.
@@ -313,6 +314,52 @@ fn same_bits(got: &[f32], want: &[f32]) -> bool {
         && got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan())
 }
 
+/// The backward tests' batch. `conv_backward_data` runs each full group
+/// of 8 samples through its lane kernel and the rest one at a time: at 1
+/// thread this batch is 4 groups and 3 leftovers, and at 4 threads the
+/// workers' runs are 9, 9, 9 and 8 samples, so both paths reach both
+/// kernels (`reaches_both_data_kernels` checks it).
+const BACKWARD_BATCH: usize = 35;
+
+/// Runs `pass`, an input-gradient pass over `samples` samples, with
+/// tracing armed, and checks its `conv_bwd_data` Kernel spans: they
+/// cover every sample once, at least one covers a group of samples (the
+/// lane kernel) and at least one a single sample (the per-sample
+/// kernel).
+fn reaches_both_data_kernels<R>(
+    label: &str,
+    threads: usize,
+    per_sample: u64,
+    samples: usize,
+    pass: impl FnOnce() -> R,
+) -> R {
+    dlbench_trace::configure(TraceConfig::on());
+    dlbench_trace::clear();
+    let out = pass();
+    let events = dlbench_trace::take_events();
+    dlbench_trace::configure(TraceConfig::Off);
+    let flops: Vec<u64> = events
+        .iter()
+        .filter(|e| e.name == "conv_bwd_data")
+        .filter_map(|e| match e.kind {
+            EventKind::Span { flops, .. } => Some(flops),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        flops.iter().sum::<u64>(),
+        samples as u64 * per_sample,
+        "{label} @ {threads} threads: conv_bwd_data spans {flops:?}"
+    );
+    let groups = flops.iter().filter(|&&f| f > per_sample).count();
+    let singles = flops.iter().filter(|&&f| f == per_sample).count();
+    assert!(
+        groups > 0 && singles > 0,
+        "{label} @ {threads} threads: {groups} sample groups and {singles} single samples"
+    );
+    out
+}
+
 /// Checks `layer`'s fused backward against the materialized oracle at 1
 /// and 4 threads, starting from nonzero weight and bias gradients.
 fn check_backward(
@@ -336,6 +383,7 @@ fn check_backward(
     // gradient and `input_grad` adds nothing to the running ones.
     let params_only = ConvGrads { input: Vec::new(), ..want.clone() };
     let input_only = ConvGrads { input: want.input.clone(), ..running.clone() };
+    let per_sample = 2 * (oc * geo.patch_len() * geo.out_plane()) as u64;
     for threads in [1, 4] {
         for (pass, got, want) in [
             (
@@ -353,7 +401,11 @@ fn check_backward(
             ),
             (
                 "input_grad",
-                layer_backward(layer, x, &running, threads, |l| l.input_grad(grad_out).into_vec()),
+                reaches_both_data_kernels(label, threads, per_sample, x.shape()[0], || {
+                    layer_backward(layer, x, &running, threads, |l| {
+                        l.input_grad(grad_out).into_vec()
+                    })
+                }),
                 &input_only,
             ),
         ] {
@@ -379,12 +431,12 @@ fn check_backward(
 /// materialized oracle's, serial and at 4 threads, accumulated onto
 /// nonzero gradients already present. So do the gradients each half
 /// computes (`accumulate_grads`, `input_grad`), and neither touches the
-/// other's.
+/// other's. The batch runs the input gradient through both of its
+/// kernels, sample groups and single samples.
 #[test]
 fn fused_conv_backward_is_bitwise_transparent_for_all_personalities() {
     let _gate = gate();
     let mut rng = SeededRng::new(0xB4CC);
-    const BATCH: usize = 3;
     let geo = |c, hw, k, stride, pad| Conv2dGeometry {
         in_channels: c,
         in_h: hw,
@@ -399,8 +451,14 @@ fn fused_conv_backward_is_bitwise_transparent_for_all_personalities() {
     cases.push(("1x1 kernel".into(), geo(5, 7, 1, 1, 0), 4));
     for (label, geo, oc) in cases {
         let mut conv = conv_layer(&geo, oc, &mut rng);
-        let x = Tensor::randn(&[BATCH, geo.in_channels, geo.in_h, geo.in_w], 0.0, 1.0, &mut rng);
-        let grad_out = Tensor::randn(&[BATCH, oc, geo.out_h(), geo.out_w()], 0.0, 1.0, &mut rng);
+        let x = Tensor::randn(
+            &[BACKWARD_BATCH, geo.in_channels, geo.in_h, geo.in_w],
+            0.0,
+            1.0,
+            &mut rng,
+        );
+        let grad_out =
+            Tensor::randn(&[BACKWARD_BATCH, oc, geo.out_h(), geo.out_w()], 0.0, 1.0, &mut rng);
         let weight = conv.weight().data().to_vec();
         check_backward(&label, &mut conv, &geo, &weight, &x, &grad_out, &mut rng);
     }
@@ -412,8 +470,9 @@ fn fused_conv_backward_is_bitwise_transparent_for_all_personalities() {
             let mut conv =
                 Conv1d::new(filters, geo.kernel_h, geo.in_w, Initializer::Xavier, &mut rng);
             assert_eq!(conv.geometry(geo.in_h), geo);
-            let x = Tensor::randn(&[BATCH, 1, geo.in_h, geo.in_w], 0.0, 1.0, &mut rng);
-            let grad_out = Tensor::randn(&[BATCH, filters, geo.out_h(), 1], 0.0, 1.0, &mut rng);
+            let x = Tensor::randn(&[BACKWARD_BATCH, 1, geo.in_h, geo.in_w], 0.0, 1.0, &mut rng);
+            let grad_out =
+                Tensor::randn(&[BACKWARD_BATCH, filters, geo.out_h(), 1], 0.0, 1.0, &mut rng);
             let weight = conv.weight().data().to_vec();
             let label = format!("{}/conv1d w{}", spec.name, geo.kernel_h);
             check_backward(&label, &mut conv, &geo, &weight, &x, &grad_out, &mut rng);
@@ -425,7 +484,8 @@ fn fused_conv_backward_is_bitwise_transparent_for_all_personalities() {
 /// gradients exactly where the materialized oracle puts them (as in
 /// `zero_rows_do_not_mask_poisoned_operands`): a zero output gradient
 /// against a poisoned input still poisons the weight gradient, and a
-/// poisoned weight still poisons the input gradient.
+/// poisoned weight still poisons the input gradient. An infinite output
+/// gradient reaches both gradients of its sample.
 #[test]
 fn fused_conv_backward_propagates_non_finite_operands() {
     let _gate = gate();
@@ -439,18 +499,22 @@ fn fused_conv_backward_propagates_non_finite_operands() {
         stride: 1,
         pad: 2,
     };
-    let (oc, batch) = (8, 4);
+    let (oc, batch) = (8, BACKWARD_BATCH);
     let mut conv = conv_layer(&geo, oc, &mut rng);
     let mut x = Tensor::randn(&[batch, 2, 12, 12], 0.0, 1.0, &mut rng);
     x.data_mut()[12 * 5 + 7] = f32::NAN;
     x.data_mut()[288 + 144 + 12 * 11] = f32::INFINITY;
-    let grad_out = Tensor::zeros(&[batch, oc, 12, 12]);
+    // Zero output gradients but one, of sample 1: the poisoned samples
+    // are inside the first group of the lane kernel.
+    let mut grad_out = Tensor::zeros(&[batch, oc, 12, 12]);
+    grad_out.data_mut()[oc * 144 + 3 * 144 + 12 * 6 + 5] = f32::INFINITY;
     // Poison one weight tap of output channel 0.
     conv.params()[0].value.data_mut()[3] = f32::NAN;
     let weight = conv.weight().data().to_vec();
     let want = check_backward("non-finite", &mut conv, &geo, &weight, &x, &grad_out, &mut rng);
     assert!(want.weight.iter().any(|v| v.is_nan()), "oracle weight gradient not poisoned");
     assert!(want.input.iter().any(|v| v.is_nan()), "oracle input gradient not poisoned");
+    assert!(want.input[288..576].iter().any(|v| v.is_infinite()), "∞ did not reach sample 1");
     assert!(want.weight.iter().any(|v| v.is_finite()), "poison spread everywhere");
 }
 
